@@ -110,18 +110,34 @@ def _refine_j_zero(nu, guess):
         f"no sign change around the McMahon guess {guess!r} for nu={nu!r}")
 
 
+def _first_j_zero(nu):
+    # The Rayleigh sums sum_n j_n^-2 = 1/(4(nu+1)) and
+    # sum_n j_n^-4 = 1/(16(nu+1)^2(nu+2)) give
+    # 2 sqrt(nu+1) < j_{nu,1} < 2 sqrt((nu+1)(nu+2)).  For nu <= 0 the upper
+    # end is at most 2 sqrt(2) < j_{1,1} < j_{nu,2}, so the bracket holds
+    # j_{nu,1} alone; McMahon's guess fails there as nu -> -1 (it even
+    # turns negative below nu ~ -0.96).
+    lo = 2.0 * math.sqrt(nu + 1.0)
+    hi = lo * math.sqrt(nu + 2.0)
+    return find_root_bracketed(lambda w: scipy.special.jv(nu, w),
+                               0.999 * lo, 1.001 * hi, tol=1e-13 * hi)
+
+
 def bessel_j_squared_zeros(nu, count):
     """First `count` values of j_{nu,n}^2, the (negated) zeros of F_nu.
 
     McMahon initial guesses refined by bracketed root-finding on the Bessel
-    function itself; each zero is good to ~1e-14 relative.
+    function itself; for nu <= 0 the first zero is bracketed by its Rayleigh
+    bounds instead.  Each zero is good to ~1e-14 relative.
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1, got {nu!r}")
     if not 1 <= count <= 10 ** 4:
         raise DomainError(f"count must be in [1, 1e4], got {count!r}")
-    roots = [_refine_j_zero(nu, _mcmahon_guess(nu, n))
-             for n in range(1, count + 1)]
+    first = (_first_j_zero(nu) if nu <= 0.0
+             else _refine_j_zero(nu, _mcmahon_guess(nu, 1)))
+    roots = [first] + [_refine_j_zero(nu, _mcmahon_guess(nu, n))
+                       for n in range(2, count + 1)]
     if any(b <= a for a, b in zip(roots, roots[1:])):
         raise ConvergenceError("refined Bessel zeros are not increasing")
     return [w * w for w in roots]

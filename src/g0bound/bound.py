@@ -6,14 +6,24 @@ rho0 < 1, every z with |arg z| < pi/2 and every rho in (rho0, 1) satisfy
     1 <= f(Re z)/f(0) <= |f(z)/f(0)| <= exp(E),
     E = (rho/e)^rho |z|^rho J(rho) / (cos^{1-rho}(arg z) Gamma(1+rho)),
 
-where J(rho) = int_0^inf (f'(x)/f(x)) x^{-rho} dx.  This module computes
-J by singular quadrature, both the final exponent E and the sharper
-intermediate exponent from which it is derived, optimizes over rho, and
-packages a full evaluation of the inequality chain as a BoundReport.
+where J(rho) = int_0^inf g(x) x^{-rho} dx and g = f'/f.  This module
+computes J, both the final exponent E and the sharper intermediate
+exponent from which it is derived, optimizes over rho, and packages a full
+evaluation of the inequality chain as a BoundReport.
 
-J(rho) and the weighted-phi supremum are memoized per model (keyed by the
-exact rho bits) so that sweeping many z against one model costs one
-quadrature per distinct rho.
+g = sum 1/(x + z_n) does not depend on rho, so each model's g is sampled
+once, on its first J request, at the nodes of 8-point Gauss-Legendre and
+9-point Gauss-Lobatto rules on doubling panels over [eps, X].  g is a
+Stieltjes function, so g(x) x^{-rho} is completely monotone for every rho:
+on each panel the Legendre rule underestimates and the Lobatto rule
+overestimates its integral.  For any rho, J is thus bracketed by two dot
+products with weights w_i x_i^{-rho}, closed by the head [0, eps] (g is
+decreasing there) and a closed-form tail beyond X (_counting_tail,
+_k_order_tail).  The bracket holds up to rounding and the evaluation error
+of g itself; the ceiling is built from its upper end.
+
+The weighted-phi supremum of the intermediate exponent is memoized per
+model and exact rho.
 """
 
 from __future__ import annotations
@@ -23,9 +33,14 @@ import math
 import weakref
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DivergenceError, DomainError
-from .numerics import QuadratureResult, gamma, integrate_singular, minimize_scalar
-from .zeros import FunctionModel, sup_weighted_phi
+import numpy as np
+
+from .errors import DivergenceError, DomainError, EvaluationOverflowError
+from .kbessel import KOrderModel
+from .numerics import QuadratureResult, doubling_panel_rules, gamma, minimize_scalar
+# unused here; perfbench/tracing.py patches bound.integrate_singular by name
+from .numerics import integrate_singular  # noqa: F401
+from .zeros import FunctionModel, ZeroSequence, sup_weighted_phi
 
 __all__ = [
     "BoundReport",
@@ -43,11 +58,18 @@ _UPPER_SLACK = 1e-9
 _LOWER_SLACK = 1e-12
 
 # rho-optimization keeps away from both genuine endpoint singularities and
-# snaps its evaluation points to a lattice so the J memo is shared across z
+# snaps its evaluation points to the lattice k * 5e-4, so rho* is one of them
 _RHO_MARGIN = 1e-3
 _RHO_LATTICE = 5e-4
 
-_J_CACHE: "weakref.WeakKeyDictionary[FunctionModel, dict]" = weakref.WeakKeyDictionary()
+# sampling of g: head [0, _EPS], doubling panels up to X = _EPS * 2^90 ~ 1.2e17;
+# log_derivative sees at most _CHUNK abscissae per call
+_EPS = 1e-10
+_PANELS = 90
+_X = _EPS * 2.0 ** _PANELS
+_CHUNK = 64
+
+_PROFILES: "weakref.WeakKeyDictionary[FunctionModel, _Profile]" = weakref.WeakKeyDictionary()
 _SUP_CACHE: "weakref.WeakKeyDictionary[FunctionModel, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -117,20 +139,146 @@ def _check_halfplane(z: complex) -> complex:
     return zc
 
 
+# --------------------------------------------------------------------------
+# J(rho) from one sampling of g = f'/f per model
+# --------------------------------------------------------------------------
+
+
+def _counting_tail(zs: ZeroSequence):
+    """int_X^inf g(x) x^{-rho} dx from the zero counting function N(t).
+
+    Integration by parts gives g(x) = int_0^inf N(t) (x + t)^-2 dt.  With
+    N(t) = A t^rho0 + D(t) and |D| <= B this is A (pi rho0 / sin(pi rho0))
+    x^(rho0 - 1) + d(x) with |d(x)| <= B / x, so the tail is
+    A pi rho0 / sin(pi rho0) X^(rho0 - rho) / (rho - rho0) within
+    B X^-rho / rho.  For the tail model z_n = c (n + delta)^p + s,
+    A = c^-rho0 and B bounds the deviation on every head interval and under
+    the tail model.  A head-only sequence of N zeros up to z_N has
+    N / (x + z_N) <= g(x) <= N / x instead.  Returns rho -> (main, band).
+    """
+    head = zs.head
+    if not zs.has_tail:
+        n, z_top = float(zs.head_count), float(head[-1])
+
+        def head_only(rho):
+            upper = n * _X ** -rho / rho
+            lower = upper * _X / (_X + z_top)
+            return 0.5 * (upper + lower), 0.5 * (upper - lower)
+
+        return head_only
+
+    rho0 = zs.order_rho0
+    amp = zs.tail_coefficient ** -rho0
+    z_next = float(zs.model_zero(zs.head_count + 1))
+    s, delta = zs.tail_shift, zs.tail_offset
+    # N(t) = k on [z_k, z_{k+1}), where A t^rho0 runs between its end values
+    k = np.arange(zs.head_count + 1, dtype=float)
+    left = amp * np.concatenate(([0.0], head)) ** rho0
+    right = amp * np.append(head, z_next) ** rho0
+    dev = max(float(np.max(np.abs(k - left))), float(np.max(np.abs(k - right))))
+    # past z_{N+1}: N(t) = floor(((t - s)/c)^rho0 - delta) less the head
+    # zeros above t; (t - s)^rho0 differs from t^rho0 by the mean-value term
+    shift_dev = amp * abs(s) * rho0 * (z_next - max(s, 0.0)) ** (rho0 - 1.0)
+    dev = max(dev, max(abs(delta), abs(delta + 1.0)) + shift_dev
+              + int(np.count_nonzero(head > z_next)))
+    coef = amp * math.pi * rho0 / math.sin(math.pi * rho0)
+
+    def counted(rho):
+        return coef * _X ** (rho0 - rho) / (rho - rho0), dev * _X ** -rho / rho
+
+    return counted
+
+
+def _k_order_tail(a: float):
+    """int_X^inf g(x) x^{-rho} dx for K_{sqrt x}(a), as a stated hypothesis.
+
+    The order-zeros of K are not known well enough for a counting bound, so
+    this uses the large-order expansion
+    K_nu(a) ~ Gamma(nu) (a/2)^-nu (1 - a^2 / (4 (nu - 1))) / 2, which gives,
+    with nu = sqrt x,
+    g(x) = [log(2 nu / a) - 1/(2 nu) + (a^2/4 - 1/12) / nu^2 + O(nu^-3)] / (2 nu).
+    Each term integrates in closed form; the band is the size of the last
+    kept one.  Returns rho -> (main, band).
+    """
+    log_x = math.log(_X)
+    third = 0.5 * (0.25 * a * a - 1.0 / 12.0)
+
+    def tail(rho):
+        beta = rho - 0.5
+        lead = 0.5 * _X ** -beta * (0.5 * (log_x / beta + 1.0 / beta ** 2)
+                                    + math.log(2.0 / a) / beta)
+        last = third * _X ** (-rho - 0.5) / (rho + 0.5)
+        return lead - 0.25 * _X ** -rho / rho + last, abs(last)
+
+    return tail
+
+
+def _sample(model: FunctionModel, x: np.ndarray) -> np.ndarray:
+    """g at the abscissae x, at most _CHUNK per log_derivative call."""
+    out = np.empty_like(x)
+    for i in range(0, x.size, _CHUNK):
+        try:
+            out[i:i + _CHUNK] = model.log_derivative(x[i:i + _CHUNK])
+        except ArithmeticError as exc:
+            raise EvaluationOverflowError(
+                f"log_derivative of {model.model_id} failed near "
+                f"x = {float(x[i])!r}: {exc}") from exc
+    bad = np.flatnonzero(~(np.isfinite(out) & (out >= 0.0)))
+    if bad.size:
+        i = bad[np.argmin(x[bad])]
+        raise EvaluationOverflowError(
+            f"log_derivative of {model.model_id} is {float(out[i])!r} at "
+            f"x = {float(x[i])!r}; f'/f must be finite and nonnegative")
+    return out
+
+
+class _Profile:
+    """One model's g sampled once at the nodes of the paired rules, and the
+    J bracket those samples give for any rho."""
+
+    def __init__(self, model: FunctionModel):
+        x_gl, w_gl, x_lob, w_lob = doubling_panel_rules(_EPS, _PANELS)
+        x = np.concatenate(([0.0], x_lob, x_gl))
+        g = _sample(model, x)
+        self.samples = int(x.size)
+        # g decreases, so on [0, eps] it lies between g(eps) and g(0)
+        self.g0, self.g_eps = float(g[0]), float(g[1])
+        self.log_x = np.log(x[1:])
+        n_lob = x_lob.size
+        # column 0: Legendre (lower) weights, column 1: Lobatto (upper)
+        self.weights = np.zeros((x.size - 1, 2))
+        self.weights[n_lob:, 0] = w_gl * g[1 + n_lob:]
+        self.weights[:n_lob, 1] = w_lob * g[1:1 + n_lob]
+        if isinstance(model, KOrderModel):
+            self.tail = _k_order_tail(model.a)
+        else:
+            self.tail = _counting_tail(model.zeros())
+
+    def bracket(self, rho: float) -> tuple[float, float]:
+        """(J_lo, J_hi) for rho in (rho0, 1)."""
+        body_lo, body_hi = np.exp(-rho * self.log_x) @ self.weights
+        head = _EPS ** (1.0 - rho) / (1.0 - rho)
+        main, band = self.tail(rho)
+        lo = body_lo + self.g_eps * head + max(main - band, 0.0)
+        hi = body_hi + self.g0 * head + main + band
+        return float(lo), float(hi)
+
+
 def log_ratio_integral(model: FunctionModel, rho: float) -> QuadratureResult:
     """J(rho) = int_0^inf (f'(x)/f(x)) x^{-rho} dx for rho0 < rho < 1.
 
-    Computed by singular quadrature of the model's log-derivative; results
-    are memoized per model and exact rho.
+    `value` is the upper end J_hi of the certified bracket and
+    `error_estimate` its width J_hi - J_lo (rule gap, head gap and tail
+    band), so J lies in [value - error_estimate, value].  `evaluations` is
+    the number of f'/f samples behind the bracket; they are taken once per
+    model, on its first J request, and serve every later rho.
     """
     rho = _check_rho(model, rho)
-    memo = _J_CACHE.setdefault(model, {})
-    hit = memo.get(rho)
-    if hit is not None:
-        return hit
-    res = integrate_singular(model.log_derivative, rho, rel_tol=1e-8)
-    memo[rho] = res
-    return res
+    profile = _PROFILES.get(model)
+    if profile is None:
+        profile = _PROFILES[model] = _Profile(model)
+    lo, hi = profile.bracket(rho)
+    return QuadratureResult(hi, max(hi - lo, 0.0), profile.samples)
 
 
 def bound_exponent(model: FunctionModel, z: complex, rho: float, J: float) -> float:
@@ -177,8 +325,8 @@ def optimize_rho(model: FunctionModel, z: complex):
     """Best exponent over rho in [rho0 + 1e-3, 1 - 1e-3]; returns (rho*, E*).
 
     Scan plus golden-section, with every evaluation snapped to the rho
-    lattice so the J memo absorbs repeat visits (both within one search and
-    across different z for the same model); non-computable rho count as +inf.
+    lattice k * 5e-4; each evaluation is one dot product against the
+    model's f'/f samples.  A rho whose J cannot be computed raises.
     """
     zc = _check_halfplane(z)
     lo = model.order_rho0 + _RHO_MARGIN
@@ -188,19 +336,12 @@ def optimize_rho(model: FunctionModel, z: complex):
 
     def objective(r: float) -> float:
         r_snap = _lattice_rho(r, lo, hi)
-        try:
-            J = log_ratio_integral(model, r_snap).value
-            return bound_exponent(model, zc, r_snap, J)
-        except (ConvergenceError, DivergenceError):
-            return math.inf
+        return bound_exponent(model, zc, r_snap,
+                              log_ratio_integral(model, r_snap).value)
 
     x, _ = minimize_scalar(objective, lo, hi, tol=1e-4)
     rho_star = _lattice_rho(x, lo, hi)
-    exponent_star = objective(rho_star)
-    if not math.isfinite(exponent_star):
-        raise ConvergenceError(
-            f"no admissible rho produced a finite exponent for {model.model_id}")
-    return rho_star, exponent_star
+    return rho_star, objective(rho_star)
 
 
 def evaluate_chain(model: FunctionModel, z: complex, rho: float) -> BoundReport:

@@ -1,5 +1,6 @@
 """Foundation numerics: gamma, adaptive quadrature for singular/improper
-integrals, bracketed root finding, and bounded scalar minimization.
+integrals, paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels,
+bracketed root finding, and bounded scalar minimization.
 
 All integrators call the integrand with a numpy array of abscissae and expect
 an array of the same length back (real or complex).  Everything here is a pure
@@ -20,6 +21,7 @@ __all__ = [
     "gamma",
     "quad_adaptive",
     "integrate_singular",
+    "doubling_panel_rules",
     "find_root_bracketed",
     "minimize_scalar",
 ]
@@ -164,6 +166,72 @@ def quad_adaptive(fun, a: float, b: float, rel_tol: float = 1e-10,
         panels.append((e1, pa, pm, v1))
         panels.append((e2, pm, pb, v2))
         total_evals += n1 + n2
+
+
+# --------------------------------------------------------------------------
+# Gauss-Legendre / Gauss-Lobatto pair on doubling panels
+# --------------------------------------------------------------------------
+# Positive halves of the 8-point Gauss-Legendre and 9-point Gauss-Lobatto
+# rules on [-1, 1] (both symmetric).  Both are exact to degree 15; their
+# errors are c f^(16)(xi) with c > 0 for Legendre and c < 0 for Lobatto, so
+# on a completely monotone integrand the first underestimates and the second
+# overestimates (Davis & Rabinowitz, Methods of Numerical Integration, 1984).
+
+_GL8_X = np.array([
+    0.1834346424956498049394761,
+    0.5255324099163289858177390,
+    0.7966664774136267395915539,
+    0.9602898564975362316835609,
+])
+_GL8_W = np.array([
+    0.3626837833783619829651505,
+    0.3137066458778872873379622,
+    0.2223810344533744705443560,
+    0.1012285362903762591525313,
+])
+_LOB9_X = np.array([
+    0.0,
+    0.3631174638261781587107521,
+    0.6771862795107377534458854,
+    0.8997579954114601573123452,
+    1.0,
+])
+_LOB9_W = np.array([
+    0.3715192743764172335600907,
+    0.3464285109730463451151315,
+    0.2745387125001617352807056,
+    0.1654953615608055250463397,
+    0.0277777777777777777777778,
+])
+
+_GL8_NODES = np.concatenate([-_GL8_X[::-1], _GL8_X])
+_GL8_WEIGHTS = np.concatenate([_GL8_W[::-1], _GL8_W])
+_LOB9_NODES = np.concatenate([-_LOB9_X[:0:-1], _LOB9_X])
+_LOB9_WEIGHTS = np.concatenate([_LOB9_W[:0:-1], _LOB9_W])
+
+
+def doubling_panel_rules(lo: float, panels: int):
+    """Composite 8-point Legendre and 9-point Lobatto rules on the doubling
+    panels [lo 2^k, lo 2^(k+1)], k < panels.
+
+    Returns (x_legendre, w_legendre, x_lobatto, w_lobatto).  A Lobatto node
+    shared by two neighbouring panels appears once, with the two weights
+    summed; x_lobatto[0] = lo.  On a completely monotone integrand the
+    Legendre sum is a lower and the Lobatto sum an upper bound on its
+    integral over [lo, lo 2^panels].
+    """
+    if not (lo > 0.0) or panels < 1:
+        raise DomainError("doubling_panel_rules needs lo > 0 and panels >= 1")
+    edges = lo * 2.0 ** np.arange(panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    w_edges = np.zeros(panels + 1)
+    w_edges[:-1] += half[:, 0] * _LOB9_WEIGHTS[0]
+    w_edges[1:] += half[:, 0] * _LOB9_WEIGHTS[-1]
+    x_lob = np.concatenate([edges, (mid + half * _LOB9_NODES[1:-1]).ravel()])
+    w_lob = np.concatenate([w_edges, (half * _LOB9_WEIGHTS[1:-1]).ravel()])
+    return ((mid + half * _GL8_NODES).ravel(), (half * _GL8_WEIGHTS).ravel(),
+            x_lob, w_lob)
 
 
 # --------------------------------------------------------------------------

@@ -208,9 +208,10 @@ class ZeroSequence:
             out = integral + corr
             if self.tail_shift != 0.0:
                 # exp(-(pure + shift) t) = exp(-shift t) * exp(-pure t)
-                with np.errstate(over="ignore"):
-                    factor = np.exp(-self.tail_shift * t)
-                out = np.where(out == 0.0, 0.0, out * factor)
+                # a negative shift overflows the factor where the sum has
+                # already underflowed to 0; multiply only the nonzero terms
+                live = out != 0.0
+                out[live] = out[live] * np.exp(-self.tail_shift * t[live])
         return float(out[0]) if scalar else out
 
     def tail_reciprocal_sum(self, w, power: int = 1):

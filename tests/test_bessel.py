@@ -108,3 +108,29 @@ def test_product_route_agrees_with_series(bessel_half):
         series = complex(bessel_half.value_ratio(z))
         product = complex(product_eval(bessel_half.zeros(), z))
         assert abs(series - product) / abs(series) < 1e-7, z
+
+
+@pytest.mark.parametrize("nu", [-0.999, -0.99, -0.97, -0.5])
+def test_first_zero_near_minus_one_matches_mpmath(nu):
+    # McMahon's guess fails as nu -> -1; the first zero comes from its
+    # Rayleigh bracket 2 sqrt(nu+1) < j < 2 sqrt((nu+1)(nu+2)).  The oracle
+    # is mpmath's 30-digit J_nu root in the same bracket (besseljzero only
+    # takes nu >= 0).
+    mpmath = pytest.importorskip("mpmath")
+    lo = 2.0 * math.sqrt(nu + 1.0)
+    hi = lo * math.sqrt(nu + 2.0)
+    with mpmath.workdps(30):
+        want = float(mpmath.findroot(lambda w: mpmath.besselj(nu, w),
+                                     (lo, hi), solver="anderson"))
+    zeros = bessel_j_squared_zeros(nu, 3)
+    assert math.sqrt(zeros[0]) == pytest.approx(want, rel=1e-13)
+    assert lo < math.sqrt(zeros[0]) < hi < math.sqrt(zeros[1])
+
+
+def test_model_builds_for_nu_near_minus_one():
+    # every nu in (-1, 0] used to need McMahon's guess for j_{nu,1}
+    for nu in np.linspace(-0.999, 0.0, 400):
+        bessel_j_squared_zeros(float(nu), 2)
+    model = BesselIModel(-0.97)
+    assert zero_sum(model.zeros(), 1.0) == pytest.approx(
+        0.25 / (1.0 - 0.97), rel=1e-6)

@@ -11,8 +11,9 @@ import pytest
 from g0bound.bound import (bound_exponent, evaluate_chain,
                            intermediate_exponent, log_ratio_integral,
                            midpoint_rho, optimize_rho)
-from g0bound.errors import DivergenceError, DomainError
-from g0bound.models import toy_square_model
+from g0bound.errors import (DivergenceError, DomainError,
+                            EvaluationOverflowError, G0BoundError)
+from g0bound.models import default_fleet, toy_square_model
 from g0bound.zeros import ZeroSequence, model_from_zeros
 
 # 30-digit references for the toy model (zeros n^2)
@@ -31,18 +32,80 @@ def test_j_toy_closed_form(toy):
 
 
 def test_j_single_zero():
-    # f = 1 + z: J(rho) = int x^-rho/(1+x) dx = pi / sin(pi rho)
+    # f = 1 + z: J(rho) = int x^-rho/(1+x) dx = pi / sin(pi rho), inside
+    # [value - error_estimate, value] down to rho = 0.05, where the part
+    # beyond the sampled range is 14% of J
     m = single_zero_model()
     assert float(log_ratio_integral(m, 0.5).value) == pytest.approx(
         math.pi, rel=1e-9)
     assert float(log_ratio_integral(m, 0.75).value) == pytest.approx(
         math.pi * math.sqrt(2.0), rel=1e-9)
+    for rho in (0.05, 0.3, 0.5, 0.75, 0.99):
+        res = log_ratio_integral(m, rho)
+        want = math.pi / math.sin(math.pi * rho)
+        assert res.value - res.error_estimate <= want <= res.value, rho
+        assert res.error_estimate <= 1e-9 * want, rho
 
 
-def test_j_memoized_per_model(toy):
-    r1 = log_ratio_integral(toy, 0.8)
-    r2 = log_ratio_integral(toy, 0.8)
-    assert r1 is r2
+def test_j_memoized_per_model():
+    # f'/f is sampled on the first J request, at most 64 abscissae per
+    # log_derivative call, and never again: every later rho and the whole
+    # rho search are answered from the same samples
+    n = np.arange(1, 201, dtype=float)
+    m = model_from_zeros(ZeroSequence(n * n, 2.0, 1.0), model_id="counted")
+    calls = []
+    inner = m.log_derivative
+
+    def counted(x):
+        calls.append(np.size(x))
+        return inner(x)
+
+    m.log_derivative = counted
+    first = log_ratio_integral(m, 0.8)
+    assert sum(calls) == first.evaluations
+    assert max(calls) <= 64
+    sampled = len(calls)
+    for rho in (0.55, 0.75, 0.8, 0.99):
+        assert log_ratio_integral(m, rho).evaluations == first.evaluations
+    optimize_rho(m, 2.0 + 1.0j)
+    assert len(calls) == sampled
+    assert log_ratio_integral(m, 0.8) == first
+
+
+@pytest.mark.parametrize("rho", [0.501, 0.51, 0.6, 0.75, 0.9, 0.99])
+def test_j_toy_zeta_oracle_inside_bracket(toy, rho):
+    # J = pi/sin(pi rho) zeta(2 rho) lies in [value - error_estimate, value]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(mpmath.pi / mpmath.sin(mpmath.pi * rho)
+                     * mpmath.zeta(2 * rho))
+    res = log_ratio_integral(toy, rho)
+    assert res.value - res.error_estimate <= want <= res.value
+    assert res.error_estimate <= 1e-9 * want
+
+
+def test_j_finite_next_to_rho0_on_fleet():
+    for model in default_fleet():
+        res = log_ratio_integral(model, model.order_rho0 + 1e-3)
+        assert math.isfinite(res.value) and res.value > 0.0, model.model_id
+        assert 0.0 <= res.error_estimate <= 1e-9 * res.value, model.model_id
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_j_bad_sample_names_model_and_point(bad):
+    m = single_zero_model()
+    inner = m.log_derivative
+
+    def broken(x):
+        out = np.asarray(inner(x), dtype=float)
+        return np.where(np.asarray(x) >= 1.0, bad, out)
+
+    m.log_derivative = broken
+    with pytest.raises(EvaluationOverflowError,
+                       match=rf"one-zero is {bad!r} at x = 1\.0[0-9]*;"):
+        log_ratio_integral(m, 0.5)
+    with pytest.raises(G0BoundError):
+        optimize_rho(m, 1.0)
 
 
 def test_j_scaling_homogeneity():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from g0bound.errors import BracketError, DivergenceError, DomainError
-from g0bound.numerics import (QuadratureResult, find_root_bracketed, gamma,
-                              integrate_singular, minimize_scalar,
-                              quad_adaptive)
+from g0bound.numerics import (QuadratureResult, doubling_panel_rules,
+                              find_root_bracketed, gamma, integrate_singular,
+                              minimize_scalar, quad_adaptive)
 
 
 def test_gamma_values():
@@ -116,3 +116,38 @@ def test_minimize_scalar_handles_nonfinite_objective():
 
     x, fx = minimize_scalar(h, 0.0, 1.0, tol=1e-9)
     assert x == pytest.approx(0.7, abs=1e-6)
+
+
+def test_doubling_panel_rules_exact_to_degree_15():
+    x_gl, w_gl, x_lob, w_lob = doubling_panel_rules(1.0, 1)
+    assert x_gl.size == 8 and x_lob.size == 9
+    for d in range(16):
+        want = (2.0 ** (d + 1) - 1.0) / (d + 1)
+        assert w_gl @ x_gl ** d == pytest.approx(want, rel=1e-14), d
+        assert w_lob @ x_lob ** d == pytest.approx(want, rel=1e-14), d
+
+
+def test_doubling_panel_rules_bracket_completely_monotone():
+    # x^-rho/(1+x) is completely monotone: Legendre from below, Lobatto from
+    # above, both close to the exact integral over [lo, lo 2^panels]
+    lo, panels = 1e-3, 24
+    hi = lo * 2.0 ** panels
+    x_gl, w_gl, x_lob, w_lob = doubling_panel_rules(lo, panels)
+    assert x_gl.size == 8 * panels and x_lob.size == 8 * panels + 1
+    assert x_lob[0] == lo and x_lob.max() == pytest.approx(hi, rel=1e-15)
+    for rho in (0.0, 0.5):
+        def g(x):
+            return x ** -rho / (1.0 + x)
+
+        want = quad_adaptive(lambda u: g(np.exp(u)) * np.exp(u),
+                             math.log(lo), math.log(hi), rel_tol=1e-14).value
+        below, above = float(w_gl @ g(x_gl)), float(w_lob @ g(x_lob))
+        assert below < want < above
+        assert above - below < 1e-10 * want
+
+
+def test_doubling_panel_rules_domain():
+    with pytest.raises(DomainError):
+        doubling_panel_rules(0.0, 4)
+    with pytest.raises(DomainError):
+        doubling_panel_rules(1.0, 0)

@@ -1,6 +1,7 @@
 """Zero-sequence container, tail-completed sums, products, phi."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,3 +172,17 @@ def test_model_from_zeros_roundtrip():
                                                   rel=1e-9)
     with pytest.raises(DomainError):
         m.log_derivative(-1.0)
+
+
+def test_phi_negative_tail_shift_emits_no_warning():
+    # Bessel nu > 1/2 has a negative tail shift: exp(-shift t) overflows
+    # where the tail sum has already underflowed to 0
+    from g0bound.bessel import BesselIModel
+    from g0bound.zeros import phi_vec
+
+    zs = BesselIModel(2.0).zeros()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = phi_vec(zs, [1.0, 10.0, 1e3])
+    assert np.all(np.isfinite(vals)) and vals[-1] == 0.0
+    assert vals[0] == pytest.approx(phi(zs, 1.0), rel=1e-15)
