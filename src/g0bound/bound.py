@@ -20,7 +20,19 @@ overestimates its integral.  For any rho, J is thus bracketed by two dot
 products with weights w_i x_i^{-rho}, closed by the head [0, eps] (g is
 decreasing there) and a closed-form tail beyond X (_counting_tail,
 _k_order_tail).  The bracket holds up to rounding and the evaluation error
-of g itself; the ceiling is built from its upper end.
+of g itself; the ceiling is built from its upper end J_hi.
+
+With |z| = Re z / cos(arg z) the exponent separates:
+
+    log E = b(rho) + rho log(Re z) - log cos(arg z),
+    b(rho) = rho (log rho - 1) + log J_hi(rho) - log Gamma(1 + rho),
+
+where b depends on the model alone.  The same sampling therefore yields a
+table of b on every candidate rho: the lattice points k * 5e-4 in
+[rho0 + 1e-3, 1 - 1e-3] and the two ends of that range.  optimize_rho is
+the exact argmin of b + rho log(Re z) over that table, so rho* depends on
+z only through Re z.  Any admissible rho gives a valid ceiling; the
+lattice only fixes which ones are compared.
 
 The weighted-phi supremum of the intermediate exponent is memoized per
 model and exact rho.
@@ -34,12 +46,14 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError, EvaluationOverflowError
 from .kbessel import KOrderModel
-from .numerics import QuadratureResult, doubling_panel_rules, gamma, minimize_scalar
-# unused here; perfbench/tracing.py patches bound.integrate_singular by name
-from .numerics import integrate_singular  # noqa: F401
+from .numerics import QuadratureResult, doubling_panel_rules, gamma
+# unused here; perfbench/tracing.py patches bound.integrate_singular and
+# bound.minimize_scalar by name
+from .numerics import integrate_singular, minimize_scalar  # noqa: F401
 from .zeros import FunctionModel, ZeroSequence, sup_weighted_phi
 
 __all__ = [
@@ -57,10 +71,12 @@ __all__ = [
 _UPPER_SLACK = 1e-9
 _LOWER_SLACK = 1e-12
 
-# rho-optimization keeps away from both genuine endpoint singularities and
-# snaps its evaluation points to the lattice k * 5e-4, so rho* is one of them
+# rho* is chosen among the lattice points k * 5e-4 that keep 1e-3 away from
+# both genuine endpoint singularities, and the two ends of that range;
+# x^-(k h) is factored over blocks of _BLOCK consecutive k
 _RHO_MARGIN = 1e-3
 _RHO_LATTICE = 5e-4
+_BLOCK = 32
 
 # sampling of g: head [0, _EPS], doubling panels up to X = _EPS * 2^90 ~ 1.2e17;
 # log_derivative sees at most _CHUNK abscissae per call
@@ -233,8 +249,9 @@ def _sample(model: FunctionModel, x: np.ndarray) -> np.ndarray:
 
 
 class _Profile:
-    """One model's g sampled once at the nodes of the paired rules, and the
-    J bracket those samples give for any rho."""
+    """One model's g sampled once at the nodes of the paired rules, the J
+    bracket those samples give for any rho, and the table of b(rho) on the
+    candidates of optimize_rho."""
 
     def __init__(self, model: FunctionModel):
         x_gl, w_gl, x_lob, w_lob = doubling_panel_rules(_EPS, _PANELS)
@@ -253,6 +270,7 @@ class _Profile:
             self.tail = _k_order_tail(model.a)
         else:
             self.tail = _counting_tail(model.zeros())
+        self.rhos, self.b = self._exponent_table(model.order_rho0, n_lob)
 
     def bracket(self, rho: float) -> tuple[float, float]:
         """(J_lo, J_hi) for rho in (rho0, 1)."""
@@ -262,6 +280,37 @@ class _Profile:
         lo = body_lo + self.g_eps * head + max(main - band, 0.0)
         hi = body_hi + self.g0 * head + main + band
         return float(lo), float(hi)
+
+    def _exponent_table(self, rho0: float, n_lob: int):
+        """The candidate rhos of optimize_rho and b(rho) on each of them."""
+        lo, hi = rho0 + _RHO_MARGIN, 1.0 - _RHO_MARGIN
+        if not lo < hi:
+            return np.empty(0), np.empty(0)
+        h = _RHO_LATTICE
+        k = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
+        # Lobatto body sums for rho = k h: with k = k[0] + S q + j, S = _BLOCK,
+        # x^-(k h) = x^-((k[0] + S q) h) x^-(j h), one GEMM over (q, j)
+        log_x, w_hi = self.log_x[:n_lob], self.weights[:n_lob, 1]
+        starts = (k[0] + _BLOCK * np.arange(-(-k.size // _BLOCK))) * h
+        coarse = np.exp(-np.outer(starts, log_x))
+        fine = np.exp(-np.outer(np.arange(_BLOCK) * h, log_x)) * w_hi
+        body = (coarse @ fine.T).ravel()[:k.size]
+        rho = k * h
+        head = _EPS ** (1.0 - rho) / (1.0 - rho)
+        main, band = self.tail(rho)
+        j_hi = body + self.g0 * head + main + band
+        inside = (rho >= lo) & (rho <= hi)
+        rhos = np.concatenate(([lo], rho[inside], [hi]))
+        j_hi = np.concatenate(([self.bracket(lo)[1]], j_hi[inside],
+                               [self.bracket(hi)[1]]))
+        return rhos, rhos * (np.log(rhos) - 1.0) + np.log(j_hi) - gammaln(1.0 + rhos)
+
+
+def _profile(model: FunctionModel) -> _Profile:
+    profile = _PROFILES.get(model)
+    if profile is None:
+        profile = _PROFILES[model] = _Profile(model)
+    return profile
 
 
 def log_ratio_integral(model: FunctionModel, rho: float) -> QuadratureResult:
@@ -274,9 +323,7 @@ def log_ratio_integral(model: FunctionModel, rho: float) -> QuadratureResult:
     model, on its first J request, and serve every later rho.
     """
     rho = _check_rho(model, rho)
-    profile = _PROFILES.get(model)
-    if profile is None:
-        profile = _PROFILES[model] = _Profile(model)
+    profile = _profile(model)
     lo, hi = profile.bracket(rho)
     return QuadratureResult(hi, max(hi - lo, 0.0), profile.samples)
 
@@ -316,32 +363,23 @@ def intermediate_exponent(model: FunctionModel, z: complex, rho: float) -> float
     return float((zc.real ** rho) * sup * gamma(1.0 - rho) / (rho * math.cos(theta)))
 
 
-def _lattice_rho(rho: float, lo: float, hi: float) -> float:
-    snapped = round(rho / _RHO_LATTICE) * _RHO_LATTICE
-    return min(hi, max(lo, snapped))
-
-
 def optimize_rho(model: FunctionModel, z: complex):
-    """Best exponent over rho in [rho0 + 1e-3, 1 - 1e-3]; returns (rho*, E*).
+    """Best exponent over the candidate rhos; returns (rho*, E*).
 
-    Scan plus golden-section, with every evaluation snapped to the rho
-    lattice k * 5e-4; each evaluation is one dot product against the
-    model's f'/f samples.  A rho whose J cannot be computed raises.
+    The candidates are the lattice points k * 5e-4 in
+    [rho0 + 1e-3, 1 - 1e-3] and the two ends of that range.  rho* is the
+    exact argmin of b(rho) + rho log(Re z) over the model's table (see the
+    module docstring), so it depends on z only through Re z; E* is then
+    evaluated at rho* exactly as evaluate_chain evaluates it.
     """
     zc = _check_halfplane(z)
-    lo = model.order_rho0 + _RHO_MARGIN
-    hi = 1.0 - _RHO_MARGIN
-    if not lo < hi:
+    profile = _profile(model)
+    if not profile.rhos.size:
         raise DomainError(f"empty rho range for rho0 = {model.order_rho0:g}")
-
-    def objective(r: float) -> float:
-        r_snap = _lattice_rho(r, lo, hi)
-        return bound_exponent(model, zc, r_snap,
-                              log_ratio_integral(model, r_snap).value)
-
-    x, _ = minimize_scalar(objective, lo, hi, tol=1e-4)
-    rho_star = _lattice_rho(x, lo, hi)
-    return rho_star, objective(rho_star)
+    i = np.argmin(profile.b + profile.rhos * math.log(zc.real))
+    rho_star = float(profile.rhos[i])
+    return rho_star, bound_exponent(model, zc, rho_star,
+                                    log_ratio_integral(model, rho_star).value)
 
 
 def evaluate_chain(model: FunctionModel, z: complex, rho: float) -> BoundReport:

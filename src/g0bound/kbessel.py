@@ -19,6 +19,7 @@ head, which keeps zero-sum based bounds conservative.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -181,15 +182,10 @@ def _build_s_grid():
 
 _S_NODES, _S_WEIGHTS = _build_s_grid()
 
-_MOMENT_CACHE: dict[float, tuple[float, float, float]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _axis_moments(a: float):
     """Normalised even moments m_k = <u^k> of e^{-a cosh u} on [0, inf),
     k = 2, 4, 6; drives the small-x series for the log-derivative."""
-    cached = _MOMENT_CACHE.get(a)
-    if cached is not None:
-        return cached
     u_max = math.acosh(1.0 + 120.0 / a)
 
     def moment(k: int) -> float:
@@ -199,9 +195,7 @@ def _axis_moments(a: float):
         return quad_adaptive(g, 0.0, u_max, rel_tol=1e-13).value
 
     m0 = moment(0)
-    out = (moment(2) / m0, moment(4) / m0, moment(6) / m0)
-    _MOMENT_CACHE[a] = out
-    return out
+    return moment(2) / m0, moment(4) / m0, moment(6) / m0
 
 
 def _logderiv_small(a: float, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Zero sequences of genus-0 entire functions with only negative zeros, and
 every quantity derived directly from the zeros: the sums S(rho) = sum z_n^-rho,
 the canonical product f(z)/f(0) = prod(1 + z/z_n), the auxiliary function
-phi(t) = sum exp(-z_n t) with its weighted supremum, and order estimation from
-Taylor coefficients.
+phi(t) = sum exp(-z_n t) with its weighted supremum.
 
 A ZeroSequence stores an explicit head z_1 <= ... <= z_N plus a power-law tail
 model z_n ~ c*(n + offset)^p for n > N.  All tail sums are evaluated by
@@ -31,7 +30,6 @@ __all__ = [
     "phi",
     "phi_vec",
     "sup_weighted_phi",
-    "estimate_order_from_coeffs",
     "model_from_zeros",
 ]
 
@@ -113,30 +111,6 @@ class ZeroSequence:
         pure = self.tail_coefficient * (
             np.asarray(n, dtype=float) + self.tail_offset) ** self.tail_exponent
         return pure + self.tail_shift
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "head": [float(z) for z in self.head],
-            "tail_exponent": self.tail_exponent,
-            "tail_coefficient": self.tail_coefficient,
-            "order_rho0": self.order_rho0,
-        }
-        if self.tail_offset != 0.0:
-            d["tail_offset"] = self.tail_offset
-        if self.tail_shift != 0.0:
-            d["tail_shift"] = self.tail_shift
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ZeroSequence":
-        try:
-            return cls(d["head"], d["tail_exponent"], d["tail_coefficient"],
-                       d.get("order_rho0"), d.get("tail_offset", 0.0),
-                       d.get("tail_shift", 0.0))
-        except KeyError as exc:
-            raise DomainError(f"zero-sequence JSON lacks required key {exc}") from exc
 
     def __repr__(self):
         tail = ("head-only" if not self.has_tail else
@@ -454,27 +428,6 @@ def sup_weighted_phi(zs: ZeroSequence, rho: float) -> float:
     _, neg = minimize_scalar(lambda t: -(t ** rho) * phi(zs, t), lo, hi,
                              tol=1e-10 * (hi - lo))
     return max(best, -neg)
-
-
-def estimate_order_from_coeffs(abs_coeffs: Sequence[float], window: int) -> float:
-    """Order estimate from Taylor-coefficient decay: the max over the last
-    `window` indices of n*log(n) / (-log |a_n|), a conservative stand-in for
-    the limsup."""
-    a = np.asarray(abs_coeffs, dtype=float)
-    if not (1 <= window <= a.size):
-        raise DomainError(f"window must lie in [1, {a.size}], got {window!r}")
-    best = -math.inf
-    for n in range(a.size - window, a.size):
-        if n < 2:
-            continue
-        an = a[n]
-        if not (0.0 < an < 1.0):
-            raise DomainError(
-                f"|a_{n}| = {an!r} outside (0, 1): order ratio undefined")
-        best = max(best, n * math.log(n) / (-math.log(an)))
-    if best == -math.inf:
-        raise DomainError("window contains no usable indices (need n >= 2)")
-    return best
 
 
 # --------------------------------------------------------------------------

@@ -224,3 +224,55 @@ def test_optimize_rho_lattice_alignment(toy):
 def test_optimize_rho_respects_domain(airy):
     rho_star, _ = optimize_rho(airy, 2.0)
     assert airy.order_rho0 < rho_star < 1.0
+
+
+def test_optimize_rho_empty_range():
+    # rho0 = 0.9995 leaves no candidate in [rho0 + 1e-3, 1 - 1e-3], while J
+    # itself is still defined on (rho0, 1)
+    p = 1.0 / 0.9995
+    n = np.arange(1, 201, dtype=float)
+    m = model_from_zeros(ZeroSequence(n ** p, p, 1.0), model_id="near-one")
+    assert math.isfinite(log_ratio_integral(m, 0.9997).value)
+    with pytest.raises(DomainError, match="empty rho range"):
+        optimize_rho(m, 1.0)
+
+
+def rho_candidates(model):
+    """The lattice points k * 5e-4 in [rho0 + 1e-3, 1 - 1e-3] and its ends."""
+    lo, hi = model.order_rho0 + 1e-3, 1.0 - 1e-3
+    k = np.arange(math.floor(lo / 5e-4), math.ceil(hi / 5e-4) + 1)
+    inside = [float(r) for r in k * 5e-4 if lo <= r <= hi]
+    return [lo] + inside + [hi]
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return default_fleet()
+
+
+def test_optimize_rho_is_exact_lattice_minimum(fleet):
+    # brute force over every candidate with the scalar exponent; a search
+    # with a stopping rule returned 0.823 for k-order(a=0.5) at 2 - 1i,
+    # where 0.8235 is 3.5e-6 lower
+    for model in fleet:
+        cands = rho_candidates(model)
+        js = [float(log_ratio_integral(model, r).value) for r in cands]
+        for z in (0.25, 1.0, 4.0, 4 + 4j, 2 - 1j, 16.0):
+            best = min(bound_exponent(model, z, r, j) for r, j in zip(cands, js))
+            _, e_star = optimize_rho(model, z)
+            assert e_star == pytest.approx(best, rel=1e-12), (model.model_id, z)
+
+
+def test_optimize_rho_depends_on_re_z_only(fleet):
+    # log E = b(rho) + rho log Re z - log cos(arg z)
+    for model in fleet:
+        rhos = {optimize_rho(model, z)[0] for z in (4.0, 4 + 4j, 4 + 12j)}
+        assert len(rhos) == 1, (model.model_id, rhos)
+
+
+def test_log_j_convex_on_rho_lattice(fleet):
+    # Hoelder: J(rho) = int g x^-rho dx is log-convex in rho
+    for model in fleet:
+        cands = rho_candidates(model)[1:-1]
+        log_j = np.log([float(log_ratio_integral(model, r).value) for r in cands])
+        assert np.min(np.diff(log_j, 2)) >= 0.0, model.model_id

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from g0bound.errors import DivergenceError, DomainError
-from g0bound.zeros import (ZeroSequence, estimate_order_from_coeffs,
-                           model_from_zeros, phi, product_eval,
+from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, product_eval,
                            reciprocal_power_zero_sum, reciprocal_zero_sum,
                            sup_weighted_phi, zero_sum)
 
@@ -127,36 +126,6 @@ def test_reciprocal_power_sum_complex():
             direct = complex((1.0 / (w + zn) ** power).sum())
             got = complex(reciprocal_power_zero_sum(zs, w, power))
             assert abs(got - direct) / abs(direct) < 1e-8, (w, power)
-
-
-def test_estimate_order_exact_decay():
-    # |a_n| = exp(-n log n / rho) makes every ratio n log n / (-log|a_n|)
-    # equal rho exactly
-    for rho in (0.4, 0.5, 0.8):
-        coeffs = [1.0] + [math.exp(-n * math.log(max(n, 2)) / rho)
-                          for n in range(1, 30)]
-        got = estimate_order_from_coeffs(coeffs, window=5)
-        assert got == pytest.approx(rho, rel=1e-12)
-
-
-def test_estimate_order_toy_is_conservative():
-    # f(z) = sinh(pi sqrt z)/(pi sqrt z): a_k = pi^(2k)/(2k+1)!, order 1/2.
-    # The max-ratio estimate approaches 1/2 from above as the window moves out.
-    coeffs = [math.pi ** (2 * k) / math.factorial(2 * k + 1)
-              for k in range(60)]
-    short = estimate_order_from_coeffs(coeffs[:30], window=8)
-    long = estimate_order_from_coeffs(coeffs, window=8)
-    assert 0.5 < long < short < 1.0
-
-
-def test_estimate_order_rejects_bad_windows():
-    coeffs = [0.5, 0.25, 0.125, 0.0625]
-    with pytest.raises(DomainError):
-        estimate_order_from_coeffs(coeffs, window=0)
-    with pytest.raises(DomainError):
-        estimate_order_from_coeffs(coeffs, window=9)
-    with pytest.raises(DomainError):
-        estimate_order_from_coeffs([2.0, 3.0, 4.0], window=1)
 
 
 def test_model_from_zeros_roundtrip():
