@@ -15,6 +15,7 @@ machine-readable.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -79,13 +80,6 @@ def _model_from_args(args):
     return build_model(args.model, **kwargs)
 
 
-def _csv_escape(value) -> str:
-    text = str(value)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _float_list(text, flag):
     try:
         return tuple(float(part) for part in text.split(","))
@@ -141,11 +135,11 @@ def cmd_bound(args, tolerances) -> int:
         print(json.dumps(payload, sort_keys=True))
     elif args.output == "csv":
         keys = sorted(payload)
-        flat = {k: (json.dumps(payload[k], sort_keys=True)
-                    if isinstance(payload[k], dict) else payload[k])
-                for k in keys}
-        print(",".join(keys))
-        print(",".join(_csv_escape(flat[k]) for k in keys))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerow([json.dumps(payload[k], sort_keys=True)
+                         if isinstance(payload[k], dict) else payload[k]
+                         for k in keys])
     else:
         print(f"model        {model.model_id}")
         print(f"z            {format_complex(z)}")

@@ -12,8 +12,10 @@ K_{i*tau}(a) for sign changes and refining each bracket.
 The zero list obtainable this way is short (the integral drops below the
 scanning noise floor near tau ~ 19), so KOrderModel marks its zero data as
 non-authoritative and models the tail by a quadratic matched to the last
-computed zero; the matched tail over-estimates the true zeros beyond the
-head, which keeps zero-sum based bounds conservative.
+computed zero.  The matched tail over-estimates the true zeros beyond the
+head, so phi, the zero sums and every quantity built from model.zeros()
+(the intermediate exponent among them) are low estimates of the true
+values, not certified upper bounds.
 """
 
 from __future__ import annotations
@@ -324,10 +326,11 @@ class KOrderModel(FunctionModel):
 
     Order 1/2 with negative zeros at -tau_n^2.  Only a short zero head is
     computable (see k_order_zeros), so the tail is a quadratic c*n^2 matched
-    to the last head zero and `zeros_authoritative` is False: zero-sum
-    routes under-count the true reciprocal sums, which keeps the derived
-    inequalities one-sided, but they are not good enough to serve as
-    identity cross-checks.
+    to the last head zero and `zeros_authoritative` is False.  The matched
+    tail over-estimates the zeros past the head, so zero-sum routes
+    under-count the true reciprocal sums: phi, the zero sums and the
+    intermediate exponent are low estimates, not upper bounds, and serve
+    neither as certificates nor as identity cross-checks.
     """
 
     order_rho0 = 0.5

@@ -1,10 +1,14 @@
-"""Foundation numerics: gamma, adaptive quadrature for singular/improper
-integrals, paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels,
-bracketed root finding, and bounded scalar minimization.
+"""Foundation numerics: gamma, globally adaptive Gauss-Kronrod quadrature,
+the singular integral int_0^inf g(x) x^(-rho) dx as two finite-range
+quadratures (the head [0, 1] in u = x^(1-rho), the tail [1, inf) in s = 1/x),
+paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels, bracketed root
+finding, and bounded scalar minimization.
 
 All integrators call the integrand with a numpy array of abscissae and expect
-an array of the same length back (real or complex).  Everything here is a pure
-function of its inputs and safe to call from multiple threads.
+an array of the same length back (real or complex).  A quadrature that cannot
+reach its tolerance raises ConvergenceError; none returns an unconverged
+value.  Everything here is a pure function of its inputs and safe to call
+from multiple threads.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError, BracketError
+from .errors import (BracketError, ConvergenceError, DomainError,
+                     EvaluationOverflowError)
 
 __all__ = [
     "QuadratureResult",
@@ -116,19 +121,25 @@ def _gk_panel(fun, a: float, b: float):
 
     Returns (value, error_estimate, n_evals).  The error estimate follows the
     usual quadpack recipe based on the Gauss/Kronrod difference scaled by the
-    integrand's deviation from its mean.
+    integrand's deviation from its mean.  A non-finite integrand value or
+    panel sum raises ConvergenceError rather than a floating-point warning.
     """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + h * _NODES
-    y = np.asarray(fun(x))
-    resk = h * np.sum(_WK_FULL * y)
-    resg = h * np.sum(_WG_FULL * y)
-    mean = resk / (b - a)
-    resasc = h * np.sum(_WK_FULL * np.abs(y - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.asarray(fun(x))
+        resk = h * np.sum(_WK_FULL * y)
+        resg = h * np.sum(_WG_FULL * y)
+        mean = resk / (b - a)
+        resasc = h * np.sum(_WK_FULL * np.abs(y - mean))
+        err = abs(resk - resg)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if not (np.isfinite(resk) and math.isfinite(err)):
+        raise ConvergenceError(
+            f"quad_adaptive: integrand not finite on [{a:.3e}, {b:.3e}]; "
+            "the integral diverges or overflows there")
     return resk, err, x.size
 
 
@@ -138,6 +149,8 @@ def quad_adaptive(fun, a: float, b: float, rel_tol: float = 1e-10,
 
     The worst-error panel is bisected until the summed panel errors drop below
     max(abs_tol, rel_tol * |integral|).  `fun` receives an ndarray of nodes.
+    Raises ConvergenceError when the budget runs out, when the worst panel
+    reaches floating-point resolution, or when the integrand is not finite.
     """
     if not (b > a):
         raise DomainError("quad_adaptive needs a < b")
@@ -159,8 +172,10 @@ def quad_adaptive(fun, a: float, b: float, rel_tol: float = 1e-10,
         _, pa, pb, _ = panels.pop()
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
-            # interval at floating-point resolution; accept what we have
-            return QuadratureResult(total_val, float(total_err), total_evals)
+            raise ConvergenceError(
+                f"quad_adaptive: error {total_err:.3e} > tolerance {tol:.3e} "
+                f"with the worst panel [{pa:.3e}, {pb:.3e}] at floating-point "
+                "resolution")
         v1, e1, n1 = _gk_panel(fun, pa, pm)
         v2, e2, n2 = _gk_panel(fun, pm, pb)
         panels.append((e1, pa, pm, v1))
@@ -238,114 +253,39 @@ def doubling_panel_rules(lo: float, panels: int):
 # singular/improper integrals  int_0^inf g(x) x^(-rho) dx
 # --------------------------------------------------------------------------
 
-TAIL_PANEL_CUTOFF = 1e-14   # a tail panel counts as negligible below this
-_TAIL_SMALL_RUN = 3         # ...once this many consecutive panels qualify
-_TAIL_U_MAX = 700.0         # log-space cap: beyond x ~ e^700 we extrapolate
+_TINY = np.finfo(float).tiny
 
 
-def integrate_singular(g, rho: float, split: float = 1.0,
-                       rel_tol: float = 1e-8, budget: int = 1_000_000) -> QuadratureResult:
-    """Compute int_0^inf g(x) x^(-rho) dx for 0 < rho < 1.
+def integrate_singular(g, rho: float) -> QuadratureResult:
+    """Compute int_0^inf g(x) x^(-rho) dx for 0 < rho < 1 as two integrals
+    over [0, 1], each one quad_adaptive call at relative tolerance 1e-8.
 
-    The head [0, split] absorbs the endpoint singularity exactly through the
-    substitution x = u^(1/(1-rho)), which turns x^(-rho) dx into du/(1-rho).
-    The tail uses x = split*e^u on unit panels in u, stopping once three
-    consecutive panels each contribute less than 1e-14 of the accumulated
-    value.  Raises ConvergenceError when the evaluation budget is exhausted
-    or the truncated remainder cannot be certified, DivergenceError when tail
-    contributions fail to decay.
+    The head [0, 1] is taken in u = x^(1-rho), which turns x^(-rho) dx into
+    du/(1-rho) and absorbs the endpoint singularity; the tail [1, inf) is
+    taken in s = 1/x, where the integrand is g(1/s) s^(rho-2).  Gauss-Kronrod
+    nodes are interior, so neither x = 0 nor s = 0 is evaluated.  An integral
+    that diverges at either end raises ConvergenceError; a head node whose
+    x = u^(1/(1-rho)) underflows below the smallest normal float raises
+    EvaluationOverflowError instead of reaching g.
     """
     if not (0.0 < rho < 1.0):
         raise DomainError(f"integrate_singular requires 0 < rho < 1, got {rho!r}")
-    if split <= 0.0:
-        raise DomainError("split must be positive")
+    inv_c = 1.0 / (1.0 - rho)
 
-    c = 1.0 - rho
-    inv_c = 1.0 / c
+    def head(u):
+        x = u ** inv_c
+        if x[0] < _TINY:  # the nodes ascend
+            raise EvaluationOverflowError(
+                f"integrate_singular: x = u^(1/(1-rho)) underflows at "
+                f"u = {u[0]:.3e} (rho = {rho!r}, x = {x[0]:.3e})")
+        return np.asarray(g(x)) * inv_c
 
-    def head_integrand(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(g(u ** inv_c)) * inv_c
-
-    head = quad_adaptive(head_integrand, 0.0, split ** c,
-                         rel_tol=rel_tol, abs_tol=0.0,
-                         budget=max(10_000, int(budget * 0.4)))
-    acc = head.value
-    acc_err = head.error_estimate
-    evals = head.evaluations
-
-    log_split = math.log(split)
-
-    def tail_integrand(u):
-        u = np.asarray(u, dtype=float)
-        x = np.exp(log_split + u)
-        return np.asarray(g(x)) * np.exp((1.0 - rho) * (log_split + u))
-
-    u0 = 0.0
-    small_run = 0
-    prev_mag = None
-    nondecay_run = 0
-    last_mag = 0.0
-    while True:
-        u1 = u0 + 1.0
-        panel_tol = max(1e-300, 0.02 * rel_tol * abs(acc))
-        panel = quad_adaptive(tail_integrand, u0, u1,
-                              rel_tol=rel_tol, abs_tol=panel_tol,
-                              budget=20_000)
-        acc = acc + panel.value
-        acc_err += panel.error_estimate
-        evals += panel.evaluations
-        mag = abs(panel.value)
-
-        if prev_mag is not None and mag >= prev_mag > 0.0:
-            nondecay_run += 1
-        else:
-            nondecay_run = 0
-        if nondecay_run >= 60:
-            raise DivergenceError(
-                "integrate_singular: tail contributions fail to decay "
-                f"(u = {u1:.1f}, last panel {mag:.3e})")
-        prev_mag = mag
-        last_mag = mag
-
-        if mag < TAIL_PANEL_CUTOFF * abs(acc):
-            small_run += 1
-            if small_run >= _TAIL_SMALL_RUN:
-                break
-        else:
-            small_run = 0
-
-        if evals > budget:
-            raise ConvergenceError(
-                f"integrate_singular: evaluation budget {budget} exhausted at u = {u1:.1f}")
-        if u1 >= _TAIL_U_MAX:
-            break
-        u0 = u1
-
-    if small_run < _TAIL_SMALL_RUN:
-        # stopped at the log-space cap: estimate what was cut off
-        remainder = _geometric_remainder(tail_integrand, u1, last_mag)
-        if remainder > max(1e-300, 10.0 * rel_tol * abs(acc)):
-            raise ConvergenceError(
-                "integrate_singular: tail decays too slowly to certify "
-                f"(estimated remainder {remainder:.3e} vs value {abs(acc):.3e})")
-        acc_err += remainder
-
-    return QuadratureResult(acc, float(acc_err), evals)
-
-
-def _geometric_remainder(tail_integrand, u_end: float, last_mag: float) -> float:
-    """Estimate the remaining tail past u_end assuming geometric panel decay."""
-    if last_mag == 0.0:
-        return 0.0
-    probe, _, _ = _gk_panel(tail_integrand, u_end, u_end + 1.0)
-    pm = abs(probe)
-    if pm == 0.0:
-        return 0.0
-    ratio = pm / last_mag
-    if ratio >= 0.9999:
-        return math.inf
-    return pm / (1.0 - ratio)
+    lo = quad_adaptive(head, 0.0, 1.0, rel_tol=1e-8)
+    hi = quad_adaptive(lambda s: np.asarray(g(1.0 / s)) * s ** (rho - 2.0),
+                       0.0, 1.0, rel_tol=1e-8)
+    return QuadratureResult(lo.value + hi.value,
+                            lo.error_estimate + hi.error_estimate,
+                            lo.evaluations + hi.evaluations)
 
 
 # --------------------------------------------------------------------------

@@ -195,28 +195,30 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 
+def _phi_transform(zs, weight, p: float):
+    # int_0^inf weight(t) phi(t) t^(-p) dt with the t^(-rho0) blow-up of phi
+    # split off, so the substituted head integrand stays bounded
+    rho0 = zs.order_rho0
+
+    def g(t):
+        return weight(t) * phi_vec(zs, t) * t ** rho0
+
+    return integrate_singular(g, p + rho0).value
+
+
 def _mellin_lhs(zs, rho: float) -> float:
-    # int_0^inf phi(t) t^(rho-1) dt, endpoint handled as t^-(1-rho)
-    res = integrate_singular(lambda t: phi_vec(zs, t), 1.0 - rho, rel_tol=1e-8)
-    return float(res.value)
+    # int_0^inf phi(t) t^(rho-1) dt
+    return float(_phi_transform(zs, lambda t: 1.0, 1.0 - rho))
 
 
-def _laplace_lhs(zs, x: float, rho0: float) -> float:
-    # int_0^inf e^{-xt} phi(t) dt with the t^-rho0 blow-up of phi split off
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-x * t) * phi_vec(zs, t) * t ** rho0
-
-    return float(integrate_singular(g, rho0, rel_tol=1e-8).value)
+def _laplace_lhs(zs, x: float) -> float:
+    # int_0^inf e^{-xt} phi(t) dt
+    return float(_phi_transform(zs, lambda t: np.exp(-x * t), 0.0))
 
 
-def _logrep_lhs(zs, z: complex, rho0: float) -> complex:
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        factor = -np.expm1(-z * t) / t
-        return factor * phi_vec(zs, t) * t ** rho0
-
-    integral = integrate_singular(g, rho0, rel_tol=1e-8).value
+def _logrep_lhs(zs, z: complex) -> complex:
+    # exp int_0^inf (1 - e^{-zt}) phi(t) dt/t
+    integral = _phi_transform(zs, lambda t: -np.expm1(-z * t) / t, 0.0)
     return complex(np.exp(integral))
 
 
@@ -300,13 +302,13 @@ def run_identity_suite(model: FunctionModel, rho_list=None,
         for x in _LAPLACE_XS:
             records.append(_two_sided(
                 "laplace_transform", mid, {"x": x},
-                _laplace_lhs(zs, x, model.order_rho0),
+                _laplace_lhs(zs, x),
                 float(model.log_derivative(x)),
                 _tol("laplace_transform", tolerances)))
         for z in _LOGREP_ZS:
             records.append(_two_sided(
                 "log_representation", mid, {"z": format_complex(z)},
-                _logrep_lhs(zs, z, model.order_rho0),
+                _logrep_lhs(zs, z),
                 complex(model.value_ratio(z)),
                 _tol("log_representation", tolerances)))
     else:

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -43,6 +44,21 @@ def test_bound_json_round_trip(capsys):
     assert payload["rho"] == 0.8
     assert payload["rho_policy"] == "given"
     assert payload["j_source"] == "quadrature"
+
+
+def test_bound_csv(capsys):
+    code, out, _ = run_cli(["bound", "--model", "toy-square", "--z", "1+1i",
+                            "--rho", "0.75", "--output", "csv"], capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == ("J,bound,chain_ok,exponent_intermediate,exponent_thm,"
+                      "j_source,lower,mid,model_id,rho,rho_policy,slack,z")
+    # the dict-valued z is one JSON field, quoted with doubled quotes
+    assert row.endswith(',"{""im"": 1.0, ""re"": 1.0}"')
+    fields = next(csv.reader([row]))
+    assert len(fields) == 13
+    assert fields[8:11] == ["toy-square", "0.75", "given"]
+    assert json.loads(fields[12]) == {"im": 1.0, "re": 1.0}
 
 
 def test_bound_defaults_to_midpoint(capsys):
@@ -117,6 +133,16 @@ def test_identity_exit_codes(capsys):
     assert code == 3
     assert any(line.startswith("FAIL laplace_transform")
                for line in out.splitlines())
+
+    # valid orders next to rho0 = 1/2: 0.52 passes, 0.501 is a numeric
+    # failure (the Mellin head substitution underflows), not a usage error
+    code, _, _ = run_cli(["identity", "--model", "toy-square",
+                          "--rho", "0.52"], capsys)
+    assert code == 0
+    code, _, err = run_cli(["identity", "--model", "toy-square",
+                            "--rho", "0.501"], capsys)
+    assert code == 1
+    assert "underflows" in err
 
 
 def test_verify_jsonl_stream(capsys):

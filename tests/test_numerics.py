@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from g0bound.errors import BracketError, DivergenceError, DomainError
+from g0bound.errors import (BracketError, ConvergenceError, DomainError,
+                            EvaluationOverflowError)
 from g0bound.numerics import (QuadratureResult, doubling_panel_rules,
                               find_root_bracketed, gamma, integrate_singular,
                               minimize_scalar, quad_adaptive)
@@ -55,6 +56,15 @@ def test_quad_adaptive_bad_interval():
         quad_adaptive(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("power", [1.0, 1.5])
+def test_quad_adaptive_divergent_raises(power):
+    # x^-power is not integrable at 0: the bisection reaches x where the
+    # integrand overflows, which must surface as ConvergenceError (no bare
+    # ValueError, no RuntimeWarning, no unconverged value)
+    with pytest.raises(ConvergenceError):
+        quad_adaptive(lambda x: x ** -power, 0.0, 1.0)
+
+
 def test_integrate_singular_gamma_tail():
     # int_0^inf x^-rho e^-x dx = Gamma(1-rho)
     for rho in (0.3, 0.75, 0.9):
@@ -68,18 +78,42 @@ def test_integrate_singular_algebraic_tail():
     assert res.value == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-8)
 
 
+def test_integrate_singular_scaled_exponential():
+    # int_0^inf x^-rho e^(-x/L) dx = L^(1-rho) Gamma(1-rho): the fixed split
+    # at x = 1 serves scales far on either side of it
+    for L in (1e-3, 1.0, 1e3, 1e6):
+        for rho in (0.05, 0.5, 0.95):
+            res = integrate_singular(lambda x: np.exp(-x / L), rho)
+            want = L ** (1.0 - rho) * gamma(1.0 - rho)
+            assert res.value == pytest.approx(want, rel=1e-9), (L, rho)
+
+
 def test_integrate_singular_divergent():
     # g -> 1 at infinity: integrand ~ x^-0.5 is not integrable
-    with pytest.raises(DivergenceError):
+    with pytest.raises(ConvergenceError):
         integrate_singular(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                            0.5)
+
+
+def test_integrate_singular_head_underflow():
+    # at rho = 0.999 the first head node u ~ 2e-3 maps to x = u^1000 = 0;
+    # g must never see it
+    seen = []
+
+    def g(x):
+        seen.append(x.min())
+        return np.exp(-x)
+
+    with pytest.raises(EvaluationOverflowError):
+        integrate_singular(g, 0.999)
+    assert seen == []
 
 
 def test_integrate_singular_domain():
     with pytest.raises(DomainError):
         integrate_singular(lambda x: np.exp(-x), 1.0)
     with pytest.raises(DomainError):
-        integrate_singular(lambda x: np.exp(-x), 0.5, split=0.0)
+        integrate_singular(lambda x: np.exp(-x), 0.0)
 
 
 def test_find_root_bracketed():

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from g0bound.errors import DomainError
+from g0bound.errors import DomainError, EvaluationOverflowError
+from g0bound.models import default_fleet
 from g0bound.verify import (DEFAULT_TOLERANCES, GridSpec, VerificationRecord,
                             format_complex, records_to_csv, records_to_jsonl,
                             run_all, run_identity_suite, run_inequality_suite,
@@ -63,6 +64,27 @@ def test_identity_suite_toy(toy):
 def test_identity_suite_rejects_bad_rho(toy):
     with pytest.raises(DomainError):
         run_identity_suite(toy, rho_list=(0.4,))
+
+
+def test_identity_suite_near_order(toy, bessel_zero):
+    # rho just above rho0 = 1/2: the Mellin integral splits off phi's
+    # t^-rho0 blow-up, so its head substitution stays in range
+    for model in (toy, bessel_zero):
+        recs = run_identity_suite(model, rho_list=(0.51, 0.52))
+        assert all(r.passed for r in recs), model.model_id
+        mellin = [r for r in recs if r.check_name == "mellin_transform"]
+        assert len(mellin) == 2
+        with pytest.raises(EvaluationOverflowError, match="underflows"):
+            run_identity_suite(model, rho_list=(0.501,))
+
+
+def test_fleet_mellin_transform_to_1e10():
+    mellin = [r for model in default_fleet() if model.zeros_authoritative
+              for r in run_identity_suite(model)
+              if r.check_name == "mellin_transform"]
+    assert len(mellin) == 18
+    worst = max(r.rel_error for r in mellin)
+    assert worst <= 1e-10, worst
 
 
 def test_identity_suite_bessel_adjudicates(bessel_half):
