@@ -6,7 +6,10 @@ negative axis at -tau_n^2.  Evaluation uses the real-line integral
 representation with the exponent re-centred at its interior maximum
 u* = asinh(nu/a); after the shift every sample of the integrand has modulus
 at most one, which keeps the quadrature stable for orders up to the domain
-cap.  Order-zeros are located by scanning the oscillatory cosine integral
+cap.  The integration window comes from a short geometric search in floats
+and the small-x log-derivative series takes its moments from the fixed
+s-grid of the quadrature branch, so nothing is cached between calls.
+Order-zeros are located by scanning the oscillatory cosine integral
 K_{i*tau}(a) for sign changes and refining each bracket.
 
 The zero list obtainable this way is short (the integral drops below the
@@ -21,7 +24,6 @@ values, not certified upper bounds.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -39,6 +41,7 @@ from .zeros import FunctionModel, ZeroSequence
 # window is truncated; e^-55 is far below the 1e-11 quadrature target.
 _WINDOW_DROP = 55.0
 _OVERFLOW_EXPONENT = 700.0
+_WINDOW_GROWTH = 1.25
 
 _SCAN_STEP = 0.05
 _FLOOR_ABS = 1e-13
@@ -77,45 +80,28 @@ def _sinh_mv(v):
 
 
 def _window(w_re: float, nu_re: float):
-    """Window [vm, vp] around the centred maximum where the real part of the
-    exponent has dropped by _WINDOW_DROP on each side."""
+    """Window [vm, vp] around the centred maximum outside of which the real
+    part of the exponent has dropped by at least _WINDOW_DROP.
 
-    def drop(v: float) -> float:
-        arr = np.asarray(v, dtype=float)
-        return float(w_re * _cosh_m1(arr) + nu_re * _sinh_mv(arr))
+    On each side the drop is d(h) = Re w (cosh h - 1) +- Re nu (sinh h - h)
+    at |v| = h, at most (Re w + Re nu)(cosh h - 1) since Re nu >= 0.  So
+    the search starts where that bound reaches _WINDOW_DROP, inside the
+    window, and grows h by _WINDOW_GROWTH until d(h) >= _WINDOW_DROP: each
+    side ends at most that factor beyond the exact half-width.  A side that
+    has not closed before cosh overflows raises ConvergenceError.
+    """
+    h0 = math.acosh(1.0 + _WINDOW_DROP / max(w_re + nu_re, 1e-2))
 
     def one_side(sign: float) -> float:
-        hw = math.sqrt(2.0 * _WINDOW_DROP / max(w_re, 1e-2))
-        for _ in range(300):
-            if drop(sign * hw) >= _WINDOW_DROP:
-                break
-            hw *= 2.0
-        else:
-            raise ConvergenceError("integration window search did not close")
-        lo, hi = 0.0, hw
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if drop(sign * mid) >= _WINDOW_DROP:
-                hi = mid
-            else:
-                lo = mid
-        return sign * hi
+        h = h0
+        while h < _OVERFLOW_EXPONENT:
+            cosh_m1 = 2.0 * math.sinh(0.5 * h) ** 2
+            if w_re * cosh_m1 + sign * nu_re * (math.sinh(h) - h) >= _WINDOW_DROP:
+                return sign * h
+            h *= _WINDOW_GROWTH
+        raise ConvergenceError("integration window search did not close")
 
     return one_side(-1.0), one_side(1.0)
-
-
-def _centred_parts(a: float, nu: complex):
-    """Shift point u*, w = a*cosh(u*), and the centred integral I0 for the
-    order-nu evaluation; log K = log(1/2) + nu*u* - w + log(I0)."""
-    ustar = cmath.asinh(nu / a)
-    w = a * cmath.cosh(ustar)
-    vm, vp = _window(w.real, nu.real)
-
-    def g(v):
-        return np.exp(-w * _cosh_m1(v) - nu * _sinh_mv(v))
-
-    i0 = quad_adaptive(g, vm, vp, rel_tol=1e-11)
-    return ustar, w, i0.value
 
 
 def _cos_form(a: float, tau: float) -> float:
@@ -152,7 +138,12 @@ def k_order_eval(a: float, z) -> complex:
             f"K_order evaluation overflows at |z|={abs(zc):g} (exponent "
             f"{pref.real:.1f})"
         )
-    _, _, i0 = _centred_parts(a, nu)
+    vm, vp = _window(w.real, nu.real)
+
+    def g(v):
+        return np.exp(-w * _cosh_m1(v) - nu * _sinh_mv(v))
+
+    i0 = quad_adaptive(g, vm, vp, rel_tol=1e-11).value
     val = 0.5 * cmath.exp(pref) * i0
     if zc.imag == 0.0:
         return float(val.real)
@@ -184,20 +175,24 @@ def _build_s_grid():
 
 _S_NODES, _S_WEIGHTS = _build_s_grid()
 
-@functools.lru_cache(maxsize=16)
+
 def _axis_moments(a: float):
-    """Normalised even moments m_k = <u^k> of e^{-a cosh u} on [0, inf),
-    k = 2, 4, 6; drives the small-x series for the log-derivative."""
-    u_max = math.acosh(1.0 + 120.0 / a)
+    """Normalised even moments m_k = <u^k> of e^{-a cosh u}, k = 2, 4, 6;
+    drive the small-x series for the log-derivative.
 
-    def moment(k: int) -> float:
-        def g(u):
-            return u ** k * np.exp(-a * np.cosh(u)) if k else np.exp(-a * np.cosh(u))
-
-        return quad_adaptive(g, 0.0, u_max, rel_tol=1e-13).value
-
-    m0 = moment(0)
-    return moment(2) / m0, moment(4) / m0, moment(6) / m0
+    Dot products on the fixed s-grid at u = s/sqrt(a), where the weight is
+    close to e^{-s^2/2}.  Measured against adaptive quadrature they agree
+    to 1e-15 for a in [0.15, 30] and to 3e-15 at a = 100.  Below a ~ 0.2
+    the weight flattens into a plateau of half-width log(2/a) with a sharp
+    edge that the grid resolves ever worse: 1.3e-14 at a = 0.1, 5.5e-11 at
+    a = 0.05 (3.6e-12 in the log-derivative at x = 0), 1.5e-10 at a = 0.02.
+    """
+    u = _S_NODES / math.sqrt(a)
+    with np.errstate(over="ignore", under="ignore"):
+        g = np.exp(-a * _cosh_m1(u)) * _S_WEIGHTS
+    u2 = u * u
+    m0 = g.sum()
+    return (g @ u2) / m0, (g @ u2 ** 2) / m0, (g @ u2 ** 3) / m0
 
 
 def _logderiv_small(a: float, x: np.ndarray) -> np.ndarray:

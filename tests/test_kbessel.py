@@ -1,15 +1,18 @@
 """Order-direction profile z -> K_sqrt(z)(a): evaluation, log-derivative,
 zero scan, model adapter."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from g0bound.errors import (DomainError, EvaluationOverflowError,
-                            InsufficientZerosError)
-from g0bound.kbessel import (KOrderModel, k_order_eval, k_order_log_derivative,
-                             k_order_zeros)
+from g0bound.errors import (ConvergenceError, DomainError,
+                            EvaluationOverflowError, InsufficientZerosError)
+from g0bound.kbessel import (KOrderModel, _window, k_order_eval,
+                             k_order_log_derivative, k_order_zeros)
+from g0bound.verify import (_JENSEN_H, _JENSEN_XS, _JENSEN_YS, _MONO_ZS,
+                            GridSpec)
 
 # 30-digit references for K_sqrt(z)(a)
 K_REFERENCE = {
@@ -47,6 +50,43 @@ def test_eval_reference_values():
     for (a, z), want in K_REFERENCE.items():
         got = complex(k_order_eval(a, z))
         assert abs(got - want) / abs(want) < 1e-12, (a, z)
+
+
+def _verify_points():
+    # every z at which the default verify run evaluates the k-order model:
+    # the polar grid, the monotonicity points and the x+iy Jensen stencils
+    grid = GridSpec.default()
+    pts = [cmath.rect(r, t) for r in grid.radii for t in grid.angles]
+    pts += list(_MONO_ZS)
+    pts += [complex(x, y + k * _JENSEN_H)
+            for x in _JENSEN_XS for y in _JENSEN_YS for k in (-1, 0, 1)]
+    return pts
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_eval_matches_mpmath_besselk(a):
+    mpmath = pytest.importorskip("mpmath")
+    for z in _verify_points():
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(mpmath.sqrt(mpmath.mpc(z)), a))
+        got = complex(k_order_eval(a, z))
+        assert abs(got - want) <= 1e-12 * abs(want), (a, z)
+
+
+def test_eval_unresolved_integral_raises():
+    # just above the negative axis Re w ~ 3e-4 and Im w ~ 1.7: the centred
+    # integrand oscillates ever faster across its window, so the quadrature
+    # exhausts its budget and says so instead of returning a value
+    with pytest.raises(ConvergenceError):
+        k_order_eval(1.0, -4.0 + 1e-3j)
+
+
+@pytest.mark.parametrize("nu_re", [0.0, 1e-300, 1e-12])
+def test_window_that_never_closes_raises(nu_re):
+    # with Re w = 0 the drop never reaches its target on the left side: the
+    # search must stop with ConvergenceError before math.sinh overflows
+    with pytest.raises(ConvergenceError):
+        _window(0.0, nu_re)
 
 
 def test_eval_at_zero_is_k0():
@@ -91,11 +131,26 @@ def test_log_derivative_limit_at_zero():
     assert got == pytest.approx(0.36555009060558485, rel=1e-11)
 
 
+SMALL_X_AS = [0.2, 0.5, 1.37, 2.0, 10.0]
+
+
+@pytest.mark.parametrize("a", SMALL_X_AS)
+def test_log_derivative_at_zero_matches_mpmath(a):
+    # d/dx log K_sqrt(x)(a) at x = 0 is K''_nu(a)|_{nu=0} / (2 K_0(a))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(mpmath.diff(lambda nu: mpmath.besselk(nu, a), 0, 2)
+                     / (2 * mpmath.besselk(0, a)))
+    got = float(k_order_log_derivative(a, 0.0))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_log_derivative_seam_continuity():
     # the small-x series and the quadrature branch meet at 1e-4
-    lo = float(k_order_log_derivative(1.0, 1e-4 * (1 - 1e-9)))
-    hi = float(k_order_log_derivative(1.0, 1e-4 * (1 + 1e-9)))
-    assert abs(lo - hi) / hi < 1e-10
+    for a in SMALL_X_AS:
+        lo = float(k_order_log_derivative(a, 1e-4 * (1 - 1e-9)))
+        hi = float(k_order_log_derivative(a, 1e-4 * (1 + 1e-9)))
+        assert abs(lo - hi) / hi < 1e-10, a
 
 
 def test_log_derivative_vectorized():
@@ -151,8 +206,8 @@ def test_model_matched_tail(korder):
 
 
 def test_model_tail_overestimates_true_zeros(korder):
-    # conservative tail: model zeros beyond the head exceed the true ones,
-    # so model zero sums under-count and the bound stays valid
+    # matched tail: model zeros beyond the head exceed the true ones, so
+    # model zero sums under-count the true ones (low estimates, not bounds)
     zs = korder.zeros()
     true_tail = k_order_zeros(1.0, 12)[8:]
     model_tail = zs.model_zero(np.arange(9, 13))
