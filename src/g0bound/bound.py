@@ -34,8 +34,12 @@ the exact argmin of b + rho log(Re z) over that table, so rho* depends on
 z only through Re z.  Any admissible rho gives a valid ceiling; the
 lattice only fixes which ones are compared.
 
-The weighted-phi supremum of the intermediate exponent is memoized per
-model and exact rho.
+The intermediate exponent needs sup_t t^rho phi(t), phi(t) = sum e^{-z_n t}.
+phi does not depend on rho either: each zero sequence samples it once, on
+its first sup request, and sup_weighted_phi reads a rho's grid maximum from
+those samples and refines it in a few vectorized phi evaluations (about
+1 ms).  The result is still memoized per model and exact rho in _SUP_CACHE,
+since warm sessions repeat rhos and a hit costs nothing.
 """
 
 from __future__ import annotations

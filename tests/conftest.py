@@ -2,6 +2,17 @@ import pytest
 
 from g0bound.models import build_model, toy_square_model
 
+try:
+    from hypothesis import settings
+except ImportError:  # a test extra; the property tests skip without it
+    pass
+else:
+    # the same examples on every run, so a failure reproduces and a pass
+    # does not depend on the draw; no example database in the checkout
+    settings.register_profile("g0bound", derandomize=True, deadline=None,
+                              max_examples=100, database=None)
+    settings.load_profile("g0bound")
+
 
 @pytest.fixture(scope="session")
 def toy():

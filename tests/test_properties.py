@@ -1,0 +1,29 @@
+"""Hypothesis properties, drawn deterministically (profile in conftest.py)."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from g0bound.zeros import ZeroSequence, phi_vec, sup_weighted_phi  # noqa: E402
+
+_ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
+                  max_size=50).map(sorted)
+_RHO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True)
+
+
+@hypothesis.given(head=_ZEROS, rho=_RHO)
+def test_sup_weighted_phi_between_grid_and_paper_bound(head, rho):
+    # from below: the best node of the 512-node grid the sup starts from;
+    # from above: sum_n sup_t t^rho e^{-z_n t} = (rho/e)^rho sum_n z_n^-rho
+    zs = ZeroSequence(head, 2.0, None)
+    ts = np.geomspace(1e-6 / head[-1], 1e3 / head[0], 512)
+    grid_best = float(np.max(ts ** rho * phi_vec(zs, ts)))
+    upper = math.exp(rho * (math.log(rho) - 1.0)) * float(
+        np.sum(np.asarray(head) ** -rho))
+    sup = sup_weighted_phi(zs, rho)
+    assert grid_best <= sup <= upper * (1.0 + 1e-12)

@@ -1,15 +1,18 @@
 """Zero-sequence container, tail-completed sums, products, phi."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from g0bound import zeros
+from g0bound.bessel import BesselIModel
 from g0bound.errors import DivergenceError, DomainError
-from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, product_eval,
-                           reciprocal_power_zero_sum, reciprocal_zero_sum,
-                           sup_weighted_phi, zero_sum)
+from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, phi_vec,
+                           product_eval, reciprocal_power_zero_sum,
+                           reciprocal_zero_sum, sup_weighted_phi, zero_sum)
 
 # independent values: zeta(1.2), zeta(1.5), zeta(1.8)
 ZETA_12 = 5.5915824411777519
@@ -146,12 +149,111 @@ def test_model_from_zeros_roundtrip():
 def test_phi_negative_tail_shift_emits_no_warning():
     # Bessel nu > 1/2 has a negative tail shift: exp(-shift t) overflows
     # where the tail sum has already underflowed to 0
-    from g0bound.bessel import BesselIModel
-    from g0bound.zeros import phi_vec
-
     zs = BesselIModel(2.0).zeros()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = phi_vec(zs, [1.0, 10.0, 1e3])
     assert np.all(np.isfinite(vals)) and vals[-1] == 0.0
     assert vals[0] == pytest.approx(phi(zs, 1.0), rel=1e-15)
+
+
+def _phi_per_t(zs, t):
+    """Reference phi: one head window and one exp sum per t, then the tail."""
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    out = np.empty(flat.shape)
+    zh = zs.head
+    for i, ti in enumerate(flat):
+        k = np.searchsorted(zh, zh[0] + 46.0 / ti, side="right")
+        out[i] = np.exp(-zh[:k] * ti).sum()
+    if zs.has_tail:
+        out = out + zs.tail_exp_sum(flat)
+    return out
+
+
+@pytest.mark.parametrize("which", ["toy", "bessel-nu2", "head-only"])
+def test_phi_vec_matches_per_t_reference(which):
+    # windows run from one term (large t) to the whole head (small t)
+    zs = {"toy": toy_sequence,
+          "bessel-nu2": lambda: BesselIModel(2.0).zeros(),
+          "head-only": lambda: ZeroSequence(np.arange(1.0, 301.0) ** 1.5,
+                                            2.0, None)}[which]()
+    t = np.random.default_rng(7).permutation(np.geomspace(1e-12, 1e3, 401))
+    want = _phi_per_t(zs, t)
+    got = phi_vec(zs, t)
+    live = want > 0.0
+    assert np.array_equal(got[~live], want[~live])
+    assert np.max(np.abs(got[live] / want[live] - 1.0)) <= 1e-14
+
+
+def test_phi_vec_shape_contract():
+    zs = toy_sequence(head=50)
+    t = np.geomspace(1e-3, 10.0, 12).reshape(3, 4)
+    got = phi_vec(zs, t)
+    assert got.shape == (3, 4)
+    assert np.allclose(got.reshape(-1), _phi_per_t(zs, t), rtol=1e-14, atol=0.0)
+    assert type(phi_vec(zs, 0.5)) is float
+    for bad in (0.0, -1.0, np.inf, np.nan, [1.0, 0.0]):
+        with pytest.raises(DomainError):
+            phi_vec(zs, bad)
+
+
+def test_phi_vec_memory_stays_blockwise():
+    # the 512-node sup grid over the 10,000-zero toy would need 40 MB as one
+    # dense exp matrix; blocks of 2^16 terms keep it near 1 MB
+    zs = toy_sequence()
+    ts = np.geomspace(1e-6 / zs.head[-1], 1e3 / zs.head[0], 512)
+    tracemalloc.start()
+    try:
+        phi_vec(zs, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("z", [1e-3, 1.0, 1e4])
+def test_sup_weighted_phi_single_zero_closed_form(z):
+    # sup_t t^rho e^{-z t} is attained at t = rho/z
+    zs = ZeroSequence([z], 2.0, None)
+    for rho in (0.05, 0.5, 0.95):
+        want = (rho / (math.e * z)) ** rho
+        assert sup_weighted_phi(zs, rho) == pytest.approx(want, rel=1e-13), rho
+
+
+def test_sup_weighted_phi_two_zeros_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z1, z2 = 1.0, 2.5
+    zs = ZeroSequence([z1, z2], 2.0, None)
+    for rho in (0.2, 0.5, 0.9):
+        with mpmath.workdps(30):
+            def dlog(t):
+                e1, e2 = mpmath.exp(-z1 * t), mpmath.exp(-z2 * t)
+                return rho / t - (z1 * e1 + z2 * e2) / (e1 + e2)
+
+            # the only critical point lies in [rho/z2, rho/z1]
+            t_star = mpmath.findroot(dlog, (mpmath.mpf(rho) / z2,
+                                            mpmath.mpf(rho) / z1),
+                                     solver="anderson")
+            want = float(t_star ** rho * (mpmath.exp(-z1 * t_star)
+                                          + mpmath.exp(-z2 * t_star)))
+        assert sup_weighted_phi(zs, rho) == pytest.approx(want, rel=1e-13), rho
+
+
+def test_sup_weighted_phi_work_budget(monkeypatch):
+    # phi is sampled on the 512-node grid once per sequence; each rho then
+    # costs only its refinement rounds
+    calls = []
+    real = zeros.phi_vec
+
+    def counting(zs, t):
+        calls.append(np.size(t))
+        return real(zs, t)
+
+    monkeypatch.setattr(zeros, "phi_vec", counting)
+    zs = toy_sequence(head=200)
+    sup_weighted_phi(zs, 0.75)
+    assert calls[0] == 512 and calls[1:].count(512) == 0
+    assert 1 <= len(calls) - 1 <= 16
+    calls.clear()
+    sup_weighted_phi(zs, 0.6)
+    assert 512 not in calls and 1 <= len(calls) <= 16
