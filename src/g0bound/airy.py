@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import DomainError
 from .numerics import find_root_bracketed
 from .zeros import FunctionModel, ZeroSequence, reciprocal_zero_sum
 
@@ -81,26 +81,22 @@ def _airy_t_guess(n: int) -> float:
 def airy_squared_zeros(count):
     """First `count` values of t_n^2 with Ai(-t_n) = 0.
 
-    The first few guesses are refined by bracketed root-finding on the
-    Maclaurin series; past n = 5 the asymptotic guess is already more
+    The first few guesses are refined together by one bracketed solve on
+    the Maclaurin series; past n = 5 the asymptotic guess is already more
     accurate than the cancellation-limited series, so it is used directly
     (everything returned is good to ~5e-12 relative).
     """
     if not 1 <= count <= 10 ** 3:
         raise DomainError(f"count must be in [1, 1e3], got {count!r}")
-    out = []
-    for n in range(1, count + 1):
-        t = _airy_t_guess(n)
-        if n <= _REFINE_MAX:
-            lo, hi = t - 0.2, t + 0.2
-            h = lambda s: airy_ai_maclaurin(complex(-s)).real
-            if not h(lo) * h(hi) < 0.0:
-                raise BracketError(f"no Ai sign change around guess {t!r}")
-            t = find_root_bracketed(h, lo, hi, tol=1e-13)
-        out.append(t * t)
-    if any(b <= a for a, b in zip(out, out[1:])):
+    t = np.array([_airy_t_guess(n) for n in range(1, count + 1)])
+    near = t[:_REFINE_MAX]
+    t[:_REFINE_MAX] = find_root_bracketed(
+        lambda s: np.array([airy_ai_maclaurin(-v).real for v in s]),
+        near - 0.2, near + 0.2, tol=1e-13)
+    out = t * t
+    if np.any(np.diff(out) <= 0.0):
         raise DomainError("airy zeros failed to come out increasing")
-    return out
+    return out.tolist()
 
 
 class AiryPairModel(FunctionModel):

@@ -12,8 +12,7 @@ import math
 import numpy as np
 import scipy.special
 
-from .errors import (BracketError, ConvergenceError, DomainError,
-                     EvaluationOverflowError)
+from .errors import ConvergenceError, DomainError, EvaluationOverflowError
 from .numerics import find_root_bracketed
 from .zeros import FunctionModel, ZeroSequence, product_eval, reciprocal_zero_sum
 
@@ -85,62 +84,41 @@ def bessel_i_log_derivative(nu, x):
     return val if xa.shape else float(val)
 
 
-def _mcmahon_guess(nu, n):
-    """McMahon expansion for j_{nu,n} through the beta^-5 term."""
-    b = (n + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    return (b - (mu - 1.0) / (8.0 * b)
-            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3)
-            - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0)
-            / (15.0 * (8.0 * b) ** 5))
-
-
-def _refine_j_zero(nu, guess):
-    # Root of w -> J_nu(w); the bracket is widened a few times if the McMahon
-    # guess was too coarse to straddle the zero.
-    half = 1.2
-    for _ in range(4):
-        lo = max(guess - half, 0.02 * guess)
-        hi = guess + half
-        if scipy.special.jv(nu, lo) * scipy.special.jv(nu, hi) < 0.0:
-            return find_root_bracketed(lambda w: scipy.special.jv(nu, w),
-                                       lo, hi, tol=max(1e-13, 1e-12 * guess))
-        half *= 1.6
-    raise BracketError(
-        f"no sign change around the McMahon guess {guess!r} for nu={nu!r}")
-
-
-def _first_j_zero(nu):
-    # The Rayleigh sums sum_n j_n^-2 = 1/(4(nu+1)) and
-    # sum_n j_n^-4 = 1/(16(nu+1)^2(nu+2)) give
-    # 2 sqrt(nu+1) < j_{nu,1} < 2 sqrt((nu+1)(nu+2)).  For nu <= 0 the upper
-    # end is at most 2 sqrt(2) < j_{1,1} < j_{nu,2}, so the bracket holds
-    # j_{nu,1} alone; McMahon's guess fails there as nu -> -1 (it even
-    # turns negative below nu ~ -0.96).
-    lo = 2.0 * math.sqrt(nu + 1.0)
-    hi = lo * math.sqrt(nu + 2.0)
-    return find_root_bracketed(lambda w: scipy.special.jv(nu, w),
-                               0.999 * lo, 1.001 * hi, tol=1e-13 * hi)
-
-
 def bessel_j_squared_zeros(nu, count):
-    """First `count` values of j_{nu,n}^2, the (negated) zeros of F_nu.
+    """First `count` values of j_{nu,n}^2, the (negated) zeros of F_nu, for
+    any nu > -1.
 
-    McMahon initial guesses refined by bracketed root-finding on the Bessel
-    function itself; for nu <= 0 the first zero is bracketed by its Rayleigh
-    bounds instead.  Each zero is good to ~1e-14 relative.
+    The zeros of J_nu are simple and at least pi apart for nu >= 1/2 (Sturm
+    comparison); for nu in (-1, 1/2) the closest pair measured is 3.11
+    apart.  So a scan of J_nu at unit step brackets each zero by a sign
+    change.  The scan starts just below the
+    Rayleigh bound 2 sqrt(nu+1) < j_{nu,1} and runs past a Sturm bound on
+    j_{nu,count}; one vectorised bracketed solve then refines every bracket
+    to a width of 1e-13 times its lower end.
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1, got {nu!r}")
     if not 1 <= count <= 10 ** 4:
         raise DomainError(f"count must be in [1, 1e4], got {count!r}")
-    first = (_first_j_zero(nu) if nu <= 0.0
-             else _refine_j_zero(nu, _mcmahon_guess(nu, 1)))
-    roots = [first] + [_refine_j_zero(nu, _mcmahon_guess(nu, n))
-                       for n in range(2, count + 1)]
-    if any(b <= a for a, b in zip(roots, roots[1:])):
-        raise ConvergenceError("refined Bessel zeros are not increasing")
-    return [w * w for w in roots]
+    # u = sqrt(w) J_nu(w) solves u'' + (1 - (nu^2 - 1/4)/w^2) u = 0.  Past w0
+    # the coefficient is at least m^2 = 1 - max(nu^2 - 1/4, 0)/w0^2 >= 3/4,
+    # so by Sturm comparison with sin(m w) each open interval of length pi/m
+    # beyond w0 holds a zero, and j_{nu,count} < w0 + count pi/m.
+    w0 = max(2.0 * abs(nu), 1.0)
+    m = math.sqrt(1.0 - max(nu * nu - 0.25, 0.0) / (w0 * w0))
+    start = 0.999 * 2.0 * math.sqrt(nu + 1.0)
+    w = start + np.arange(math.ceil(w0 + count * math.pi / m - start) + 1.0)
+    # J_nu > 0 below j_{nu,1}; a grid value of exactly 0 counts as positive,
+    # so a root on the grid ends exactly one bracket
+    nonneg = scipy.special.jv(nu, w) >= 0.0
+    k = np.flatnonzero(nonneg[:-1] != nonneg[1:])[:count]
+    if k.size < count:
+        raise ConvergenceError(
+            f"J_{nu:g} scan found {k.size} sign changes below {w[-1]:g}, "
+            f"{count} requested")
+    roots = find_root_bracketed(lambda x: scipy.special.jv(nu, x),
+                                w[k], w[k + 1], tol=1e-13 * w[k])
+    return (roots * roots).tolist()
 
 
 class BesselIModel(FunctionModel):

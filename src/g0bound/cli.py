@@ -26,7 +26,7 @@ from .errors import DomainError, G0BoundError
 from .models import MODEL_NAMES, build_model, default_fleet
 from .verify import (DEFAULT_TOLERANCES, GridSpec, format_complex,
                      records_to_csv, records_to_jsonl, run_all,
-                     run_identity_suite)
+                     run_identity_suite, summarize_records)
 __all__ = ["main", "parse_complex"]
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -232,16 +232,9 @@ def cmd_identity(args, tolerances) -> int:
     else:
         rhos = None
     records = run_identity_suite(model, rhos, tolerances=tolerances)
-    failed = sum(1 for r in records if not r.passed)
-    worst = {}
-    for rec in records:
-        worst[rec.check_name] = max(worst.get(rec.check_name, 0.0),
-                                    rec.rel_error)
-    summary = {"total": len(records), "passed": len(records) - failed,
-               "failed": failed,
-               "worst_rel_error": {k: worst[k] for k in sorted(worst)}}
+    summary = summarize_records(records)
     _emit_records(records, summary, args.output)
-    return 3 if failed else 0
+    return 3 if summary["failed"] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

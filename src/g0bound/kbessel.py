@@ -8,9 +8,11 @@ u* = asinh(nu/a); after the shift every sample of the integrand has modulus
 at most one, which keeps the quadrature stable for orders up to the domain
 cap.  The integration window comes from a short geometric search in floats
 and the small-x log-derivative series takes its moments from the fixed
-s-grid of the quadrature branch, so nothing is cached between calls.
-Order-zeros are located by scanning the oscillatory cosine integral
-K_{i*tau}(a) for sign changes and refining each bracket.
+s-grid of the quadrature branch, so nothing is cached between calls; that
+grid holds 1e-12 only for a >= 0.1, and the log-derivative rejects smaller
+a.  Order-zeros are located by scanning the oscillatory cosine integral
+K_{i*tau}(a) in blocks for sign changes and refining each block's brackets
+in one vectorised bracketed solve.
 
 The zero list obtainable this way is short (the integral drops below the
 scanning noise floor near tau ~ 19), so KOrderModel marks its zero data as
@@ -51,6 +53,9 @@ _TAU_CAP = 200.0
 # Crossover below which the log-derivative switches to the even-moment
 # series in x = nu^2 (the centred ratio is 0/0 as nu -> 0).
 _SMALL_X = 1e-4
+# Smallest a at which the fixed s-grid keeps the log-derivative within 1e-12
+# of mpmath on both sides of the seam (2.3e-13 at a = 0.08, 2.8e-11 at 0.05).
+_LOGDERIV_A_MIN = 0.1
 
 _HEAD_MAX = 32
 
@@ -224,9 +229,13 @@ def k_order_log_derivative(a: float, x):
     Equals (1/(2 sqrt x)) * d_nu log K_nu(a) at nu = sqrt x, computed from
     the centred first moment of the integral representation; strictly
     positive, decreasing from the full reciprocal zero sum, whose value is
-    returned at x = 0.
+    returned at x = 0.  Requires a >= 0.1 (DomainError below).
     """
     a = _require_a(a)
+    if a < _LOGDERIV_A_MIN:
+        raise DomainError(
+            f"k_order_log_derivative needs a >= {_LOGDERIV_A_MIN:g}, got {a:g}: "
+            f"the fixed s-grid holds 1e-12 only from a = {_LOGDERIV_A_MIN:g} up")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).astype(float).ravel()
@@ -252,9 +261,10 @@ def k_order_log_derivative(a: float, x):
 def k_order_zeros(a: float, count: int, scan_step: float = _SCAN_STEP) -> np.ndarray:
     """Squared order-zeros tau_n^2 of K_{i*tau}(a), smallest first.
 
-    Scans tau |-> K_{i*tau}(a) on a uniform grid for sign changes and
-    refines each bracket; the e^{pi*tau/2}-scaled magnitude stays of order
-    one over the scan range, so sign changes are never masked by underflow.
+    Scans tau |-> K_{i*tau}(a) on a uniform grid, block by block, for sign
+    changes and refines each block's brackets in one bracketed solve; the
+    e^{pi*tau/2}-scaled magnitude stays of order one over the scan range, so
+    sign changes are never masked by underflow.
     Scanning stops once the unscaled integral sits below 1e-13 for several
     consecutive steps (quadrature noise floor); if fewer than `count` zeros
     were found by then an insufficient-zeros error is raised.
@@ -285,11 +295,12 @@ def k_order_zeros(a: float, count: int, scan_step: float = _SCAN_STEP) -> np.nda
              * (halves[:, None] * _WK_FULL[None, :])).ravel()
 
         def integral(tau):
-            return float(np.cos(tau * u) @ f)
+            return np.cos(np.multiply.outer(tau, u)) @ f
 
         grid = np.arange(t_lo + scan_step, t_hi + 0.5 * scan_step, scan_step)
-        vals = np.cos(grid[:, None] * u[None, :]) @ f
-        for tau, val in zip(grid, vals):
+        lo: list[float] = []
+        hi: list[float] = []
+        for tau, val in zip(grid, integral(grid)):
             if abs(val) < _FLOOR_ABS:
                 floor_run += 1
                 if floor_run >= _FLOOR_RUN:
@@ -297,12 +308,14 @@ def k_order_zeros(a: float, count: int, scan_step: float = _SCAN_STEP) -> np.nda
             else:
                 floor_run = 0
             if prev_val is not None and prev_val * val < 0.0:
-                root = find_root_bracketed(integral, prev_tau, tau,
-                                           tol=1e-13 * max(1.0, tau))
-                taus.append(root)
-                if len(taus) >= count:
+                lo.append(prev_tau)
+                hi.append(tau)
+                if len(taus) + len(hi) >= count:
                     break
             prev_tau, prev_val = tau, val
+        hi_arr = np.array(hi)
+        taus.extend(find_root_bracketed(integral, np.array(lo), hi_arr,
+                                        tol=1e-13 * np.maximum(1.0, hi_arr)))
         t_lo = t_hi
 
     if len(taus) < count:

@@ -2,13 +2,14 @@
 the singular integral int_0^inf g(x) x^(-rho) dx as two finite-range
 quadratures (the head [0, 1] in u = x^(1-rho), the tail [1, inf) in s = 1/x),
 paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels, bracketed root
-finding, and bounded scalar minimization.
+finding over arrays of brackets, and bounded scalar minimization.
 
 All integrators call the integrand with a numpy array of abscissae and expect
-an array of the same length back (real or complex).  A quadrature that cannot
-reach its tolerance raises ConvergenceError; none returns an unconverged
-value.  Everything here is a pure function of its inputs and safe to call
-from multiple threads.
+an array of the same length back (real or complex); so does the root finder
+when it refines an array of brackets together, one call per round.  A
+quadrature or root solve that cannot reach its tolerance raises
+ConvergenceError; none returns an unconverged value.  Everything here is a
+pure function of its inputs and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -295,54 +296,67 @@ def integrate_singular(g, rho: float) -> QuadratureResult:
 _ROOT_MAX_ITER = 200
 
 
-def find_root_bracketed(h, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Find a root of h in [lo, hi] given h(lo)*h(hi) < 0.
+def find_root_bracketed(h, lo, hi, tol=1e-12):
+    """Find a root of h in each bracket [lo, hi] with h(lo)*h(hi) < 0.
 
-    Safeguarded hybrid of secant steps and bisection; the returned point has
-    |h| no larger than at either end of the final bracket.  Raises
-    BracketError for an invalid bracket, ConvergenceError after 200 steps.
+    lo, hi and tol broadcast together.  For scalar lo and hi, h is called
+    with floats and a float is returned; otherwise h maps an array of
+    abscissae to an array of values and the roots come back in the
+    broadcast shape.  The brackets refine together by regula falsi with the
+    Illinois rule, one h call per round over those still wider than their
+    tol; each root has |h| no larger than at either end of its final
+    bracket.  Raises BracketError naming the first bracket with lo >= hi or
+    no sign change, and ConvergenceError after 200 rounds.
     """
-    if not (hi > lo):
-        raise BracketError(f"invalid bracket [{lo!r}, {hi!r}]")
-    a, b = float(lo), float(hi)
-    fa, fb = h(a), h(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise BracketError(
-            f"h has the same sign at both ends of [{lo:g}, {hi:g}]")
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi, tol = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                      np.asarray(hi, dtype=float),
+                                      np.asarray(tol, dtype=float))
+    shape, n = lo.shape, lo.size
+    a, b, tol = lo.ravel(), hi.ravel(), tol.ravel()
 
+    def reject(bad, why):
+        if bad.any():
+            k = int(np.argmax(bad))
+            at = "" if scalar else f" {k}"
+            raise BracketError(f"{why}: bracket{at} [{a[k]:.17g}, {b[k]:.17g}]")
+
+    def hv(x):
+        if scalar:
+            return np.array([h(float(v)) for v in x], dtype=float)
+        return np.asarray(h(x), dtype=float)
+
+    reject(~(b > a), "lo >= hi")
+    fa, fb = np.split(hv(np.concatenate([a, b])), 2)
+    reject(~(np.sign(fa) * np.sign(fb) <= 0.0), "h has the same sign at both ends")
+    # an end where h vanishes is the root: collapse the bracket onto it
+    a = np.where(fb == 0.0, b, a)
+    b = np.where(fa == 0.0, a, b)
+    out, ids = np.empty(n), np.arange(n)
+    ga, gb = fa, fb           # end values as the Illinois rule scales them
+    side = np.zeros(n)        # -1: the last round moved a, +1: moved b
     for _ in range(_ROOT_MAX_ITER):
-        width = b - a
-        if width <= tol:
-            break
-        # secant proposal from the bracket endpoints, safeguarded to the
-        # interior; fall back to bisection when it degenerates
-        denom = fb - fa
-        if denom != 0.0:
-            x = b - fb * width / denom
-        else:
-            x = a + 0.5 * width
-        margin = 0.01 * width
-        if not (a + margin < x < b - margin):
-            x = a + 0.5 * width
-        fx = h(x)
-        if fx == 0.0:
-            return x
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    else:
-        raise ConvergenceError(
-            f"find_root_bracketed: no convergence after {_ROOT_MAX_ITER} iterations "
-            f"(bracket width {b - a:.3e} > tol {tol:.3e})")
-
-    mid = a + 0.5 * (b - a)
-    candidates = [(abs(fa), a), (abs(fb), b), (abs(h(mid)), mid)]
-    return min(candidates)[1]
+        done = b - a <= tol
+        out[ids[done]] = np.where(np.abs(fa[done]) <= np.abs(fb[done]),
+                                  a[done], b[done])
+        ids, a, b, fa, fb, ga, gb, side, tol = (
+            v[~done] for v in (ids, a, b, fa, fb, ga, gb, side, tol))
+        if not ids.size:
+            return float(out[0]) if scalar else out.reshape(shape)
+        # the false-position point, kept tol/2 inside the bracket so that an
+        # end already within tol/2 of the root sends it across
+        x = np.clip(b - gb * (b - a) / (gb - ga), a + 0.5 * tol, b - 0.5 * tol)
+        fx = hv(x)
+        left = (fx < 0.0) == (fa < 0.0)   # x takes a's place
+        ga = np.where(left, fx, np.where(side > 0.0, 0.5 * ga, ga))
+        gb = np.where(left, np.where(side < 0.0, 0.5 * gb, gb), fx)
+        side = np.where(left, -1.0, 1.0)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+    k = int(np.argmax(b - a))
+    raise ConvergenceError(
+        f"find_root_bracketed: {ids.size} bracket(s) unconverged after "
+        f"{_ROOT_MAX_ITER} rounds (widest {b[k] - a[k]:.3e} > tol {tol[k]:.3e})")
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -44,6 +44,7 @@ __all__ = [
     "run_inequality_suite",
     "run_monotonicity_suite",
     "run_all",
+    "summarize_records",
     "records_to_jsonl",
     "records_to_csv",
 ]
@@ -535,6 +536,12 @@ def run_all(models, grid: GridSpec | None = None, seed: int = 0,
                                             tolerances=tolerances))
         records.extend(run_monotonicity_suite(model, tolerances=tolerances))
     records.sort(key=VerificationRecord.sort_key)
+    return {**summarize_records(records), "records": records}
+
+
+def summarize_records(records) -> dict:
+    """Counts {"total", "passed", "failed"} and the worst rel_error per
+    check_name (keys sorted) of a record list."""
     worst: dict[str, float] = {}
     for rec in records:
         worst[rec.check_name] = max(worst.get(rec.check_name, 0.0),
@@ -545,7 +552,6 @@ def run_all(models, grid: GridSpec | None = None, seed: int = 0,
         "passed": passed,
         "failed": len(records) - passed,
         "worst_rel_error": {k: worst[k] for k in sorted(worst)},
-        "records": records,
     }
 
 

@@ -145,11 +145,7 @@ class ZeroSequence:
             raise DivergenceError(
                 f"sum z_n^-rho diverges: rho = {rho!r} <= order rho0 = {self.order_rho0!r}")
         A = self.head_count + 1 + delta
-        # Euler-Maclaurin for sum_{n >= N+1} (n+delta)^(-s)
-        t = (A ** (1.0 - s) / (s - 1.0)
-             + 0.5 * A ** (-s)
-             + s * A ** (-s - 1.0) / 12.0
-             - s * (s + 1.0) * (s + 2.0) * A ** (-s - 3.0) / 720.0)
+        t = self._hurwitz_tail(s, self.head_count)
         err = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * A ** (-s - 5.0) / 30240.0
         val, err = c ** (-rho) * t, c ** (-rho) * err
         if self.tail_shift != 0.0:
@@ -202,8 +198,8 @@ class ZeroSequence:
         w may be real or complex, scalar or ndarray; for bound work w is a
         point in the closed right half-plane.  power = 1 uses a three-regime
         scheme (series around small |w|, closed-form integral for large |w|,
-        discrete head extension in between); power >= 2 uses the binomial
-        expansion in w, valid for the moderate |w| the harness needs.
+        discrete head extension in between); power >= 2 uses the same small-|w|
+        series alone and raises DomainError past half the first model zero.
         """
         if not self.has_tail:
             if np.ndim(w) == 0:
@@ -213,29 +209,12 @@ class ZeroSequence:
         w = np.asarray(w) + self.tail_shift if self.tail_shift != 0.0 else w
         if power == 1:
             return self._tail_recip1(w, self.head_count)
-        return self._tail_recip_binomial(w, power, self.head_count)
-
-    def _tail_recip_binomial(self, w, m: int, n0: int):
-        """sum_{n>n0} (w + z_n)^-m by expanding in w/z_n (needs |w| modest)."""
-        p, delta = self.tail_exponent, self.tail_offset
-        base = self.tail_coefficient * (n0 + 1 + delta) ** p
-        wmax = np.max(np.abs(w))
-        if wmax > 0.5 * base:
+        base = self.tail_coefficient * (
+            self.head_count + 1 + self.tail_offset) ** self.tail_exponent
+        if np.max(np.abs(w)) > 0.5 * base:
             raise DomainError(
-                f"tail expansion for power {m} needs |w| <= {0.5 * base:.3g}")
-        c = self.tail_coefficient
-        w = np.asarray(w)
-        acc = np.zeros(np.shape(w), dtype=np.result_type(w, float))
-        coef = 1.0
-        wk = np.ones_like(acc)
-        for k in range(80):
-            term = coef * wk * c ** (-(m + k)) * self._hurwitz_tail(p * (m + k), n0)
-            acc = acc + term
-            if np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(acc)), 1e-300):
-                break
-            coef *= -(m + k) / (k + 1.0)          # binom(-m, k+1)/binom(-m, k)
-            wk = wk * w
-        return acc
+                f"tail expansion for power {power} needs |w| <= {0.5 * base:.3g}")
+        return self._recip_series_small(w, self.head_count, power)
 
     def _hurwitz_tail(self, s: float, n0: int) -> float:
         """EM value of sum_{n>n0} (n + offset)^-s (s > 1)."""
@@ -260,7 +239,7 @@ class ZeroSequence:
         mid = ~(lo | hi)
 
         if np.any(lo):
-            out[lo] = self._recip1_series_small(w[lo], n0)
+            out[lo] = self._recip_series_small(w[lo], n0)
         if np.any(hi):
             out[hi] = self._recip1_large(w[hi], A, base)
         if np.any(mid):
@@ -270,32 +249,36 @@ class ZeroSequence:
             zext = c * (ns + delta) ** p
             wm = w[mid]
             head_ext = np.sum(1.0 / (wm[:, None] + zext[None, :]), axis=1)
-            out[mid] = head_ext + self._recip1_series_small(wm, n0 + ext)
+            out[mid] = head_ext + self._recip_series_small(wm, n0 + ext)
         return out[0] if scalar else out
 
-    def _recip1_series_small(self, w, n0: int):
-        """sum_{n>n0} 1/(w+z_n) = sum_k (-w)^k T_{k+1} with T_j the model
-        power sums past n0; converges for |w| below half the first model zero.
+    def _recip_series_small(self, w, n0: int, power: int = 1):
+        """sum_{n>n0} (w+z_n)^-power = sum_k binom(-power, k) w^k T_{power+k}
+        with T_j the model power sums past n0; converges for |w| below half
+        the first model zero.
 
-        Each term is accumulated as (-w/base)^k times an O(1) correction so
-        that neither factor leaves the floating range even when |w| is large
-        in absolute terms (the ratio stays <= 1/2 on this branch)."""
+        Each term is accumulated as binom(power+k-1, k) (-w/base)^k times an
+        O(1) correction, scaled by base^-power, so that no factor leaves the
+        floating range even when |w| is large in absolute terms (the ratio
+        stays <= 1/2 on this branch)."""
         p = self.tail_exponent
         c = self.tail_coefficient
         A = n0 + 1 + self.tail_offset
         base = c * A ** p
+        scale = base ** power
         q = -np.asarray(w) / base
         acc = np.zeros(q.shape, dtype=np.result_type(q, float))
         qk = np.ones_like(acc)
         for k in range(120):
-            s = p * (k + 1.0)
+            s = p * (power + k)
+            # A^s times the Euler-Maclaurin tail of _hurwitz_tail
             corr = (A / (s - 1.0) + 0.5 + s / (12.0 * A)
                     - s * (s + 1.0) * (s + 2.0) / (720.0 * A ** 3))
-            term = qk * (corr / base)
+            term = qk * (corr / scale)
             acc = acc + term
             if np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(acc)), 1e-300):
                 break
-            qk = qk * q
+            qk = qk * q * ((power + k) / (k + 1.0))
         return acc
 
     def _recip1_large(self, w, A: float, base: float):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import g0bound.airy
 from g0bound.airy import (AiryPairModel, airy_ai_maclaurin, airy_pair_eval,
                           airy_squared_zeros)
 from g0bound.errors import DomainError
@@ -32,6 +33,19 @@ def test_maclaurin_radius_guard():
 def test_squared_zero_head():
     got = airy_squared_zeros(5)
     assert np.allclose(got, AIRY_SQUARED, rtol=1e-10)
+
+
+def test_zero_table_is_one_bracketed_solve(monkeypatch):
+    calls = []
+    real = g0bound.airy.find_root_bracketed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(g0bound.airy, "find_root_bracketed", counted)
+    airy_squared_zeros(200)
+    assert len(calls) == 1
 
 
 def test_pair_eval_is_positive_on_axis():

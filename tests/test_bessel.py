@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+import g0bound.bessel
 from g0bound.bessel import (BesselIModel, bessel_i_log_derivative,
                             bessel_i_scaled, bessel_j_squared_zeros)
 from g0bound.errors import DomainError
@@ -112,10 +114,9 @@ def test_product_route_agrees_with_series(bessel_half):
 
 @pytest.mark.parametrize("nu", [-0.999, -0.99, -0.97, -0.5])
 def test_first_zero_near_minus_one_matches_mpmath(nu):
-    # McMahon's guess fails as nu -> -1; the first zero comes from its
-    # Rayleigh bracket 2 sqrt(nu+1) < j < 2 sqrt((nu+1)(nu+2)).  The oracle
-    # is mpmath's 30-digit J_nu root in the same bracket (besseljzero only
-    # takes nu >= 0).
+    # as nu -> -1 the first zero closes in on the Rayleigh bracket
+    # 2 sqrt(nu+1) < j < 2 sqrt((nu+1)(nu+2)).  The oracle is mpmath's
+    # 30-digit J_nu root in that bracket (besseljzero only takes nu >= 0).
     mpmath = pytest.importorskip("mpmath")
     lo = 2.0 * math.sqrt(nu + 1.0)
     hi = lo * math.sqrt(nu + 2.0)
@@ -134,3 +135,42 @@ def test_model_builds_for_nu_near_minus_one():
     model = BesselIModel(-0.97)
     assert zero_sum(model.zeros(), 1.0) == pytest.approx(
         0.25 / (1.0 - 0.97), rel=1e-6)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 2.9])
+def test_zeros_match_mpmath_besseljzero(nu):
+    mpmath = pytest.importorskip("mpmath")
+    roots = np.sqrt(bessel_j_squared_zeros(nu, 200))
+    for n in (1, 2, 10, 200):
+        with mpmath.workdps(30):
+            want = float(mpmath.besseljzero(nu, n))
+        assert roots[n - 1] == pytest.approx(want, rel=1e-13), n
+
+
+@pytest.mark.parametrize("nu", [5, 30, 50, 100])
+def test_zeros_match_scipy_jn_zeros(nu):
+    roots = np.sqrt(bessel_j_squared_zeros(nu, 200))
+    assert np.allclose(roots, scipy.special.jn_zeros(nu, 200), rtol=1e-13,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 2.9])
+def test_rayleigh_sum_misses_no_zero(nu):
+    # sum_n j_{nu,n}^-2 = 1/(4(nu+1)): one missed zero in the head would
+    # leave a gap of at least j_{nu,200}^-2 ~ 2.5e-6 relative
+    model = BesselIModel(nu)
+    assert zero_sum(model.zeros(), 1.0) == pytest.approx(
+        0.25 / (nu + 1.0), rel=1e-6)
+
+
+def test_zero_table_is_one_bracketed_solve(monkeypatch):
+    calls = []
+    real = g0bound.bessel.find_root_bracketed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(g0bound.bessel, "find_root_bracketed", counted)
+    bessel_j_squared_zeros(0.0, 200)
+    assert len(calls) == 1

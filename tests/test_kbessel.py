@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import g0bound.kbessel
 from g0bound.errors import (ConvergenceError, DomainError,
                             EvaluationOverflowError, InsufficientZerosError)
 from g0bound.kbessel import (KOrderModel, _window, k_order_eval,
@@ -153,6 +154,28 @@ def test_log_derivative_seam_continuity():
         assert abs(lo - hi) / hi < 1e-10, a
 
 
+def test_log_derivative_rejects_small_a():
+    # below a = 0.1 the fixed s-grid misses 1e-12 next to the seam (2.8e-11
+    # at a = 0.05); values and zeros there are unaffected
+    with pytest.raises(DomainError, match="a >= 0.1"):
+        k_order_log_derivative(0.05, 1.0)
+    with pytest.raises(DomainError):
+        KOrderModel(0.05).log_derivative(np.array([0.0, 1.0]))
+    assert k_order_eval(0.05, 0.0) > 0.0
+    assert k_order_zeros(0.05, 2)[0] > 0.0
+
+
+@pytest.mark.parametrize("x", [1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9)])
+def test_log_derivative_at_smallest_a_matches_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    a = 0.1
+    with mpmath.workdps(30):
+        want = float(mpmath.diff(
+            lambda t: mpmath.log(mpmath.besselk(mpmath.sqrt(t), a)),
+            mpmath.mpf(x)))
+    assert float(k_order_log_derivative(a, x)) == pytest.approx(want, rel=1e-12)
+
+
 def test_log_derivative_vectorized():
     xs = np.array([0.0, 1e-6, 0.5, 4.0, 100.0])
     vals = k_order_log_derivative(1.0, xs)
@@ -170,6 +193,21 @@ def test_zero_scan_reference_values():
     for a, want in K_ZEROS_REFERENCE.items():
         got = k_order_zeros(a, 6)
         assert np.allclose(got, want, rtol=5e-9), a
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_zero_scan_one_bracketed_solve_per_block(a, monkeypatch):
+    calls = []
+    real = g0bound.kbessel.find_root_bracketed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(g0bound.kbessel, "find_root_bracketed", counted)
+    got = k_order_zeros(a, 8)
+    # the scan runs in blocks of 8 in tau and stops at the eighth zero
+    assert 1 <= len(calls) <= math.ceil(math.sqrt(got[-1]) / 8.0)
 
 
 def test_zero_scan_count_bounds():

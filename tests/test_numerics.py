@@ -128,6 +128,63 @@ def test_find_root_bracketed_requires_sign_change():
         find_root_bracketed(math.cos, 2.0, 1.0)
 
 
+def test_find_root_bracketed_array_of_brackets():
+    # the roots of cos on (k pi, (k+1) pi), refined together: h sees arrays
+    # and is called once for both ends, then once per round
+    calls = []
+
+    def h(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    k = np.arange(40.0)
+    roots = find_root_bracketed(h, k * math.pi + 0.1, (k + 1) * math.pi - 0.1,
+                                tol=1e-13)
+    assert roots.shape == k.shape
+    assert np.allclose(roots, (k + 0.5) * math.pi, rtol=0.0, atol=1e-12)
+    assert calls[0] == 80 and all(n <= 40 for n in calls[1:])
+    assert len(calls) <= 10
+
+
+def test_find_root_bracketed_broadcasts_and_keeps_shape():
+    lo = np.array([[1.0], [4.0]])
+    roots = find_root_bracketed(np.cos, lo, lo + 1.0, tol=np.array([1e-12]))
+    assert roots.shape == (2, 1)
+    assert roots[:, 0] == pytest.approx([0.5 * math.pi, 1.5 * math.pi],
+                                       abs=1e-12)
+    assert find_root_bracketed(np.cos, np.array([]), np.array([])).shape == (0,)
+
+
+def test_find_root_bracketed_root_at_an_end():
+    assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
+    assert find_root_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    roots = find_root_bracketed(lambda x: x - 2.0, np.array([1.0, 2.0]),
+                                np.array([2.0, 3.0]))
+    assert list(roots) == [2.0, 2.0]
+
+
+def test_find_root_bracketed_names_the_first_bad_bracket():
+    with pytest.raises(BracketError, match=r"bracket 1 \[4"):
+        find_root_bracketed(np.cos, np.array([1.0, 4.0, 7.0]),
+                            np.array([2.0, 4.5, 8.0]))
+    with pytest.raises(BracketError, match="lo >= hi: bracket 2"):
+        find_root_bracketed(np.cos, np.array([1.0, 4.0, 7.0]),
+                            np.array([2.0, 5.0, 7.0]))
+
+
+def test_find_root_bracketed_gives_up_after_200_rounds():
+    # no bracket of floats around pi/2 is ever narrower than tol = 0
+    calls = []
+
+    def h(x):
+        calls.append(1)
+        return np.cos(x)
+
+    with pytest.raises(ConvergenceError, match="200 rounds"):
+        find_root_bracketed(h, np.array([1.0]), np.array([2.0]), tol=0.0)
+    assert len(calls) == 201
+
+
 def test_minimize_scalar_quadratic():
     x, fx = minimize_scalar(lambda x: (x - 1.3) ** 2 + 0.25, 0.0, 2.0,
                             tol=1e-10)

@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from g0bound.bessel import bessel_j_squared_zeros  # noqa: E402
 from g0bound.zeros import ZeroSequence, phi_vec, sup_weighted_phi  # noqa: E402
 
 _ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
@@ -27,3 +28,12 @@ def test_sup_weighted_phi_between_grid_and_paper_bound(head, rho):
         np.sum(np.asarray(head) ** -rho))
     sup = sup_weighted_phi(zs, rho)
     assert grid_best <= sup <= upper * (1.0 + 1e-12)
+
+
+@hypothesis.given(nu=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True))
+def test_bessel_zeros_interlace_in_order(nu):
+    # j_{nu,n} < j_{nu+1,n} < j_{nu,n+1} (Watson, Bessel Functions, 15.22)
+    j = np.sqrt(bessel_j_squared_zeros(nu, 21))
+    j1 = np.sqrt(bessel_j_squared_zeros(nu + 1.0, 20))
+    assert np.all(j[:20] < j1)
+    assert np.all(j1 < j[1:])
