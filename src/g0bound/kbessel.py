@@ -2,17 +2,15 @@
 
 The profile z -> K_{sqrt(z)}(a) is even in sqrt(z), equals K_0(a) > 0 at the
 origin, and vanishes exactly where K_{i*tau}(a) = 0, so its zeros sit on the
-negative axis at -tau_n^2.  Evaluation uses the real-line integral
-representation with the exponent re-centred at its interior maximum
-u* = asinh(nu/a); after the shift every sample of the integrand has modulus
-at most one, which keeps the quadrature stable for orders up to the domain
-cap.  The integration window comes from a short geometric search in floats
-and the small-x log-derivative series takes its moments from the fixed
-s-grid of the quadrature branch, so nothing is cached between calls; that
-grid holds 1e-12 only for a >= 0.1, and the log-derivative rejects smaller
-a.  Order-zeros are located by scanning the oscillatory cosine integral
-K_{i*tau}(a) in blocks for sign changes and refining each block's brackets
-in one vectorised bracketed solve.
+negative axis at -tau_n^2.  Values, the log-derivative, its small-x moments
+and the zero scan are all integrals of e^{-a cosh u}-type integrands over
+the window that _window returns.  These are entire and decay doubly
+exponentially, so one rule serves them all: the equispaced trapezoidal rule,
+which converges geometrically there (Trefethen & Weideman, SIAM Review 56,
+2014).  Values re-centre the exponent at its interior maximum
+u* = asinh(nu/a), so every sample has modulus at most one; order-zeros are
+sign changes of the cosine integral K_{i*tau}(a), scanned in blocks and
+refined in one bracketed solve per block.  Nothing is cached between calls.
 
 The zero list obtainable this way is short (the integral drops below the
 scanning noise floor near tau ~ 19), so KOrderModel marks its zero data as
@@ -36,25 +34,31 @@ from .errors import (
     EvaluationOverflowError,
     InsufficientZerosError,
 )
-from .numerics import _NODES, _WK_FULL, find_root_bracketed, quad_adaptive
+from .numerics import find_root_bracketed
 from .zeros import FunctionModel, ZeroSequence
 
 # Exponent drop (relative to the centred maximum) at which the integration
-# window is truncated; e^-55 is far below the 1e-11 quadrature target.
+# window is truncated; e^-55 is far below every tolerance used here.
 _WINDOW_DROP = 55.0
 _OVERFLOW_EXPONENT = 700.0
 _WINDOW_GROWTH = 1.25
+
+# trapezoid intervals of the first sum, and the most the halving may reach
+_TRAP_START = 32
+_TRAP_CAP = 4096
 
 _SCAN_STEP = 0.05
 _FLOOR_ABS = 1e-13
 _FLOOR_RUN = 8
 _TAU_CAP = 200.0
+# least gap from a scan block's top tau to its nodes' alias frequency
+_ALIAS_GAP = 32.0
 
 # Crossover below which the log-derivative switches to the even-moment
 # series in x = nu^2 (the centred ratio is 0/0 as nu -> 0).
 _SMALL_X = 1e-4
-# Smallest a at which the fixed s-grid keeps the log-derivative within 1e-12
-# of mpmath on both sides of the seam (2.3e-13 at a = 0.08, 2.8e-11 at 0.05).
+# The series' O(x^3) truncation grows as a shrinks: at x = 1e-4 it is off
+# by 1.6e-13 (a = 0.1), 4.4e-13 (a = 0.05) and 1.4e-12 (a = 0.02).
 _LOGDERIV_A_MIN = 0.1
 
 _HEAD_MAX = 32
@@ -109,23 +113,51 @@ def _window(w_re: float, nu_re: float):
     return one_side(-1.0), one_side(1.0)
 
 
+def _trapezoid(f, lo, hi, rel_tol: float, abs_tol: float = 0.0,
+               finish=lambda m: m):
+    """Trapezoidal rule for f over [lo, hi] (arrays: one interval per row).
+
+    f maps nodes (node axis last) to values, optionally stacked along a
+    leading axis; `finish` maps those integrals to the returned value.  The
+    step is halved, reusing every node, until the last two returned values
+    agree within max(rel_tol * |value|, abs_tol) everywhere; past _TRAP_CAP
+    intervals ConvergenceError is raised.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    width = np.asarray(hi, dtype=float)[..., None] - lo
+    n = _TRAP_START
+    vals = f(lo + width * np.linspace(0.0, 1.0, n + 1))
+    total = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
+    est = finish(total * (width[..., 0] / n))
+    while n < _TRAP_CAP:
+        total = total + f(lo + width * ((np.arange(n) + 0.5) / n)).sum(axis=-1)
+        n *= 2
+        new = finish(total * (width[..., 0] / n))
+        if np.all(np.abs(new - est) <= np.maximum(rel_tol * np.abs(new), abs_tol)):
+            return new
+        est = new
+    raise ConvergenceError(f"trapezoidal rule not settled at {_TRAP_CAP} "
+                           f"intervals (rel_tol {rel_tol:g}, abs_tol {abs_tol:g})")
+
+
 def _cos_form(a: float, tau: float) -> float:
     """K_{i*tau}(a) as the truncated cosine integral (real, sign-indefinite)."""
-    u_max = math.acosh(1.0 + (_WINDOW_DROP + 10.0) / a)
+    vp = _window(a, 0.0)[1]
 
     def g(u):
         return np.exp(-a * np.cosh(u)) * np.cos(tau * u)
 
-    res = quad_adaptive(g, 0.0, u_max, rel_tol=1e-12, abs_tol=1e-15)
-    return float(res.value)
+    return float(_trapezoid(g, 0.0, vp, rel_tol=1e-12, abs_tol=1e-15))
 
 
 def k_order_eval(a: float, z) -> complex:
     """K_{sqrt(z)}(a) with the principal square root.
 
-    Real non-negative z returns a float.  On the negative axis the order is
-    purely imaginary and the cosine form is used; the result is real there
-    too and changes sign across each order-zero.
+    0.5 e^{nu u* - w} times the trapezoid of e^{-w (cosh v - 1) -
+    nu (sinh v - v)} over _window(Re w, Re nu), nu = sqrt(z), w = a cosh u*,
+    settled to 1e-11 relative (ConvergenceError if it cannot be, as just off
+    the negative axis).  Real z >= 0 returns a float; on the negative axis
+    the real cosine form is used, which changes sign at each order-zero.
     """
     a = _require_a(a)
     zc = complex(z)
@@ -148,56 +180,26 @@ def k_order_eval(a: float, z) -> complex:
     def g(v):
         return np.exp(-w * _cosh_m1(v) - nu * _sinh_mv(v))
 
-    i0 = quad_adaptive(g, vm, vp, rel_tol=1e-11).value
-    val = 0.5 * cmath.exp(pref) * i0
-    if zc.imag == 0.0:
-        return float(val.real)
-    return val
+    val = 0.5 * cmath.exp(pref) * complex(_trapezoid(g, vm, vp, rel_tol=1e-11))
+    return float(val.real) if zc.imag == 0.0 else val
 
 
 # ----------------------------------------------------------------------------
 # log-derivative on the positive axis
 # ----------------------------------------------------------------------------
 
-# Fixed scaled grid for the vectorised log-derivative: after v = s/sqrt(w)
-# the centred exponent is close to -s^2/2, so a composite grid on a fixed
-# s-interval covers every order at once.
-_S_HALF = 16.0
-_S_PANELS = 32
-
-
-def _build_s_grid():
-    edges = np.linspace(-_S_HALF, _S_HALF, _S_PANELS + 1)
-    nodes = []
-    weights = []
-    for i in range(_S_PANELS):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        nodes.append(mid + half * _NODES)
-        weights.append(half * _WK_FULL)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-_S_NODES, _S_WEIGHTS = _build_s_grid()
-
 
 def _axis_moments(a: float):
-    """Normalised even moments m_k = <u^k> of e^{-a cosh u}, k = 2, 4, 6;
-    drive the small-x series for the log-derivative.
+    """Normalised even moments m_k = <u^k> of e^{-a cosh u}, k = 2, 4, 6,
+    for the small-x series: the trapezoid on [0, vp] of _window(a, 0) (the
+    weight is even), each moment settled to 1e-13 relative."""
+    vp = _window(a, 0.0)[1]
 
-    Dot products on the fixed s-grid at u = s/sqrt(a), where the weight is
-    close to e^{-s^2/2}.  Measured against adaptive quadrature they agree
-    to 1e-15 for a in [0.15, 30] and to 3e-15 at a = 100.  Below a ~ 0.2
-    the weight flattens into a plateau of half-width log(2/a) with a sharp
-    edge that the grid resolves ever worse: 1.3e-14 at a = 0.1, 5.5e-11 at
-    a = 0.05 (3.6e-12 in the log-derivative at x = 0), 1.5e-10 at a = 0.02.
-    """
-    u = _S_NODES / math.sqrt(a)
-    with np.errstate(over="ignore", under="ignore"):
-        g = np.exp(-a * _cosh_m1(u)) * _S_WEIGHTS
-    u2 = u * u
-    m0 = g.sum()
-    return (g @ u2) / m0, (g @ u2 ** 2) / m0, (g @ u2 ** 3) / m0
+    def g(u):
+        return np.exp(-a * _cosh_m1(u)) * (u * u) ** np.arange(4)[:, None]
+
+    return tuple(_trapezoid(g, 0.0, vp, rel_tol=1e-13,
+                            finish=lambda m: m[1:] / m[0]))
 
 
 def _logderiv_small(a: float, x: np.ndarray) -> np.ndarray:
@@ -210,35 +212,38 @@ def _logderiv_small(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _logderiv_grid(a: float, x: np.ndarray) -> np.ndarray:
+    # d/dx log K = (u* + <v>) / (2 nu) with <v> the centred first moment;
+    # one trapezoid row per x, each on its own window
     nu = np.sqrt(x)
     w = np.hypot(a, nu)          # a*cosh(u*) for the real branch
     ustar = np.arcsinh(nu / a)
-    sigma = 1.0 / np.sqrt(w)
-    v = sigma[:, None] * _S_NODES[None, :]
-    expo = -w[:, None] * _cosh_m1(v) - nu[:, None] * _sinh_mv(v)
-    with np.errstate(under="ignore"):
-        g = np.exp(expo)
-    i0 = g @ _S_WEIGHTS
-    i1 = (v * g) @ _S_WEIGHTS
-    return (ustar + i1 / i0) / (2.0 * nu)
+    vm, vp = np.array([_window(wi, ni) for wi, ni in zip(w, nu)]).T
+
+    def g(v):
+        with np.errstate(under="ignore"):
+            e = np.exp(-w[:, None] * _cosh_m1(v) - nu[:, None] * _sinh_mv(v))
+        return np.stack([e, v * e])
+
+    return _trapezoid(g, vm, vp, rel_tol=1e-13,
+                      finish=lambda m: (ustar + m[1] / m[0]) / (2.0 * nu))
 
 
 def k_order_log_derivative(a: float, x):
     """d/dx log K_{sqrt(x)}(a) for x >= 0; accepts arrays.
 
-    Equals (1/(2 sqrt x)) * d_nu log K_nu(a) at nu = sqrt x, computed from
-    the centred first moment of the integral representation; strictly
-    positive, decreasing from the full reciprocal zero sum, whose value is
-    returned at x = 0.  Requires a >= 0.1 (DomainError below).
+    Equals (1/(2 sqrt x)) d_nu log K_nu(a) at nu = sqrt x: positive and
+    decreasing from the full reciprocal zero sum, returned at x = 0.  Above
+    x = 1e-4 it is the centred first moment, one trapezoid per x on its own
+    window; below, an even-moment series whose truncation grows as a
+    shrinks, so a >= 0.1 is required (DomainError below).
     """
     a = _require_a(a)
     if a < _LOGDERIV_A_MIN:
         raise DomainError(
             f"k_order_log_derivative needs a >= {_LOGDERIV_A_MIN:g}, got {a:g}: "
-            f"the fixed s-grid holds 1e-12 only from a = {_LOGDERIV_A_MIN:g} up")
+            f"below that its small-x series misses 1e-12")
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).astype(float).ravel()
+    flat = arr.ravel()
     if flat.size and not np.all(flat >= 0.0):
         raise DomainError("log-derivative needs x >= 0")
     out = np.empty_like(flat)
@@ -248,9 +253,7 @@ def k_order_log_derivative(a: float, x):
     big = ~small
     if big.any():
         out[big] = _logderiv_grid(a, flat[big])
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -258,26 +261,24 @@ def k_order_log_derivative(a: float, x):
 # ----------------------------------------------------------------------------
 
 
-def k_order_zeros(a: float, count: int, scan_step: float = _SCAN_STEP) -> np.ndarray:
+def k_order_zeros(a: float, count: int) -> np.ndarray:
     """Squared order-zeros tau_n^2 of K_{i*tau}(a), smallest first.
 
-    Scans tau |-> K_{i*tau}(a) on a uniform grid, block by block, for sign
-    changes and refines each block's brackets in one bracketed solve; the
-    e^{pi*tau/2}-scaled magnitude stays of order one over the scan range, so
-    sign changes are never masked by underflow.
-    Scanning stops once the unscaled integral sits below 1e-13 for several
-    consecutive steps (quadrature noise floor); if fewer than `count` zeros
-    were found by then an insufficient-zeros error is raised.
+    Scans tau -> K_{i*tau}(a) at step 0.05 in blocks of 8 for sign changes
+    and refines each block's brackets in one bracketed solve, on fixed
+    trapezoid nodes over [0, vp] of _window(a, 0).  By Poisson summation
+    their error at step h is about K_{i(2 pi/h - tau)}(a), which falls like
+    e^{-pi (2 pi/h - tau)/2} past 2 pi/h - tau = a, so the node count keeps
+    2 pi/h >= tau + a + 32 at the block's top tau.  Scanning stops once the
+    integral sits below 1e-13 for several steps (the noise floor); fewer
+    than `count` zeros by then raise InsufficientZerosError.
     """
     a = _require_a(a)
     count = int(count)
     if not 1 <= count <= _HEAD_MAX:
         raise DomainError(f"count must be in [1, {_HEAD_MAX}], got {count}")
-    scan_step = float(scan_step)
-    if not 0.0 < scan_step <= 0.1:
-        raise DomainError("scan step must lie in (0, 0.1]")
 
-    u_max = math.acosh(1.0 + (_WINDOW_DROP + 10.0) / a)
+    vp = _window(a, 0.0)[1]
     taus: list[float] = []
     block = 8.0
     t_lo = 0.0
@@ -286,18 +287,15 @@ def k_order_zeros(a: float, count: int, scan_step: float = _SCAN_STEP) -> np.nda
     prev_val = None
     while t_lo < _TAU_CAP and len(taus) < count and floor_run < _FLOOR_RUN:
         t_hi = t_lo + block
-        panels = max(24, int(math.ceil(u_max * t_hi / 3.0)))
-        edges = np.linspace(0.0, u_max, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        u = (mids[:, None] + halves[:, None] * _NODES[None, :]).ravel()
-        f = (np.exp(-a * np.cosh(u)).reshape(panels, -1)
-             * (halves[:, None] * _WK_FULL[None, :])).ravel()
+        n = int(math.ceil(vp * (t_hi + a + _ALIAS_GAP) / (2.0 * math.pi)))
+        u = np.linspace(0.0, vp, n + 1)
+        f = np.exp(-a * np.cosh(u)) * (vp / n)
+        f[[0, -1]] *= 0.5
 
         def integral(tau):
             return np.cos(np.multiply.outer(tau, u)) @ f
 
-        grid = np.arange(t_lo + scan_step, t_hi + 0.5 * scan_step, scan_step)
+        grid = np.arange(t_lo + _SCAN_STEP, t_hi + 0.5 * _SCAN_STEP, _SCAN_STEP)
         lo: list[float] = []
         hi: list[float] = []
         for tau, val in zip(grid, integral(grid)):

@@ -1,6 +1,10 @@
+import cmath
+
 import pytest
 
 from g0bound.models import build_model, toy_square_model
+from g0bound.verify import (_JENSEN_H, _JENSEN_XS, _JENSEN_YS, _MONO_ZS,
+                            GridSpec)
 
 try:
     from hypothesis import settings
@@ -37,3 +41,16 @@ def airy():
 @pytest.fixture(scope="session")
 def korder():
     return build_model("k-order", a=1.0)
+
+
+@pytest.fixture(scope="session")
+def verify_points():
+    """Every z at which the default verify run evaluates a model's
+    value_ratio on the chain, monotonicity and Jensen checks: the polar
+    grid, the monotonicity points and the x+iy Jensen stencils."""
+    grid = GridSpec.default()
+    pts = [cmath.rect(r, t) for r in grid.radii for t in grid.angles]
+    pts += list(_MONO_ZS)
+    pts += [complex(x, y + k * _JENSEN_H)
+            for x in _JENSEN_XS for y in _JENSEN_YS for k in (-1, 0, 1)]
+    return pts

@@ -93,3 +93,15 @@ def test_model_axis_monotone(airy):
 def test_model_rejects_out_of_domain(airy):
     with pytest.raises(DomainError):
         airy.value_ratio(30.0)
+
+
+def test_value_ratio_matches_mpmath_airyai(airy, verify_points):
+    # Ai(i sqrt z) Ai(-i sqrt z) / Ai(0)^2 at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    for z in verify_points:
+        with mpmath.workdps(30):
+            s = mpmath.sqrt(mpmath.mpc(z))
+            want = complex(mpmath.airyai(1j * s) * mpmath.airyai(-1j * s)
+                           / mpmath.airyai(0) ** 2)
+        got = complex(airy.value_ratio(z))
+        assert abs(got - want) <= 1e-12 * abs(want), z

@@ -174,3 +174,17 @@ def test_zero_table_is_one_bracketed_solve(monkeypatch):
     monkeypatch.setattr(g0bound.bessel, "find_root_bracketed", counted)
     bessel_j_squared_zeros(0.0, 200)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 2.9])
+def test_value_ratio_matches_mpmath_besseli(nu, verify_points):
+    # F_nu(z) = I_nu(sqrt z) Gamma(nu+1) / (sqrt z / 2)^nu at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    model = BesselIModel(nu)
+    for z in verify_points:
+        with mpmath.workdps(30):
+            s = mpmath.sqrt(mpmath.mpc(z))
+            want = complex(mpmath.besseli(nu, s) / (s / 2) ** nu
+                           * mpmath.gamma(nu + 1))
+        got = complex(model.value_ratio(z))
+        assert abs(got - want) <= 1e-12 * abs(want), (nu, z)

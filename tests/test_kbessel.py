@@ -1,7 +1,6 @@
 """Order-direction profile z -> K_sqrt(z)(a): evaluation, log-derivative,
 zero scan, model adapter."""
 
-import cmath
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from g0bound.errors import (ConvergenceError, DomainError,
                             EvaluationOverflowError, InsufficientZerosError)
 from g0bound.kbessel import (KOrderModel, _window, k_order_eval,
                              k_order_log_derivative, k_order_zeros)
-from g0bound.verify import (_JENSEN_H, _JENSEN_XS, _JENSEN_YS, _MONO_ZS,
-                            GridSpec)
 
 # 30-digit references for K_sqrt(z)(a)
 K_REFERENCE = {
@@ -53,21 +50,10 @@ def test_eval_reference_values():
         assert abs(got - want) / abs(want) < 1e-12, (a, z)
 
 
-def _verify_points():
-    # every z at which the default verify run evaluates the k-order model:
-    # the polar grid, the monotonicity points and the x+iy Jensen stencils
-    grid = GridSpec.default()
-    pts = [cmath.rect(r, t) for r in grid.radii for t in grid.angles]
-    pts += list(_MONO_ZS)
-    pts += [complex(x, y + k * _JENSEN_H)
-            for x in _JENSEN_XS for y in _JENSEN_YS for k in (-1, 0, 1)]
-    return pts
-
-
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_eval_matches_mpmath_besselk(a):
+def test_eval_matches_mpmath_besselk(a, verify_points):
     mpmath = pytest.importorskip("mpmath")
-    for z in _verify_points():
+    for z in verify_points:
         with mpmath.workdps(30):
             want = complex(mpmath.besselk(mpmath.sqrt(mpmath.mpc(z)), a))
         got = complex(k_order_eval(a, z))
@@ -76,8 +62,8 @@ def test_eval_matches_mpmath_besselk(a):
 
 def test_eval_unresolved_integral_raises():
     # just above the negative axis Re w ~ 3e-4 and Im w ~ 1.7: the centred
-    # integrand oscillates ever faster across its window, so the quadrature
-    # exhausts its budget and says so instead of returning a value
+    # integrand oscillates ever faster across its window, so the trapezoid
+    # halvings reach their node cap and say so instead of returning a value
     with pytest.raises(ConvergenceError):
         k_order_eval(1.0, -4.0 + 1e-3j)
 
@@ -155,8 +141,8 @@ def test_log_derivative_seam_continuity():
 
 
 def test_log_derivative_rejects_small_a():
-    # below a = 0.1 the fixed s-grid misses 1e-12 next to the seam (2.8e-11
-    # at a = 0.05); values and zeros there are unaffected
+    # below a = 0.1 the small-x series misses 1e-12 next to the seam (4.4e-13
+    # at a = 0.05, 1.4e-12 at a = 0.02); values and zeros there are unaffected
     with pytest.raises(DomainError, match="a >= 0.1"):
         k_order_log_derivative(0.05, 1.0)
     with pytest.raises(DomainError):
@@ -176,6 +162,24 @@ def test_log_derivative_at_smallest_a_matches_mpmath(x):
     assert float(k_order_log_derivative(a, x)) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.02, 0.05])
+def test_axis_moments_match_mpmath(a):
+    # the even moments of e^{-a cosh u} that feed the small-x series; the
+    # weight's flat plateau of half-width ~log(2/a) is widest at small a
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pts = mpmath.linspace(0, mpmath.acosh(1 + 120 / mpmath.mpf(a)), 12)
+
+        def moment(k):
+            return mpmath.quad(
+                lambda u: u ** k * mpmath.exp(-a * (mpmath.cosh(u) - 1)), pts)
+
+        m0 = moment(0)
+        want = [float(moment(k) / m0) for k in (2, 4, 6)]
+    got = g0bound.kbessel._axis_moments(a)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_log_derivative_vectorized():
     xs = np.array([0.0, 1e-6, 0.5, 4.0, 100.0])
     vals = k_order_log_derivative(1.0, xs)
@@ -193,6 +197,21 @@ def test_zero_scan_reference_values():
     for a, want in K_ZEROS_REFERENCE.items():
         got = k_order_zeros(a, 6)
         assert np.allclose(got, want, rtol=5e-9), a
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.37, 2.0])
+def test_zero_scan_matches_mpmath_roots(a):
+    # 30-digit secant roots of tau -> K_{i tau}(a) started at each scanned
+    # zero; near tau ~ 19, |K_{i tau}(2)| ~ 1e-10 and rounding in the scan's
+    # sums limits the deepest zeros to a few 1e-9
+    mpmath = pytest.importorskip("mpmath")
+    got = k_order_zeros(a, 8)
+    with mpmath.workdps(30):
+        want = [float(mpmath.findroot(
+            lambda t: mpmath.re(mpmath.besselk(1j * t, a)), math.sqrt(z))) ** 2
+            for z in got]
+    assert np.all(np.diff(want) > 0.0)
+    assert np.allclose(got, want, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

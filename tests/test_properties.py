@@ -1,5 +1,6 @@
 """Hypothesis properties, drawn deterministically (profile in conftest.py)."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from g0bound.bessel import bessel_j_squared_zeros  # noqa: E402
+from g0bound.kbessel import k_order_eval, k_order_log_derivative  # noqa: E402
 from g0bound.zeros import ZeroSequence, phi_vec, sup_weighted_phi  # noqa: E402
 
 _ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
@@ -37,3 +39,30 @@ def test_bessel_zeros_interlace_in_order(nu):
     j1 = np.sqrt(bessel_j_squared_zeros(nu + 1.0, 20))
     assert np.all(j[:20] < j1)
     assert np.all(j1 < j[1:])
+
+
+_K_A = st.floats(min_value=math.log(0.1), max_value=math.log(10.0)).map(math.exp)
+
+
+@hypothesis.given(a=_K_A,
+                  r=st.floats(min_value=math.log(1e-2),
+                              max_value=math.log(1e3)).map(math.exp),
+                  theta=st.floats(min_value=-0.49 * math.pi,
+                                  max_value=0.49 * math.pi))
+def test_k_order_eval_matches_mpmath_besselk(a, r, theta):
+    mpmath = pytest.importorskip("mpmath")
+    z = cmath.rect(r, theta)
+    with mpmath.workdps(30):
+        want = complex(mpmath.besselk(mpmath.sqrt(mpmath.mpc(z)), a))
+    got = complex(k_order_eval(a, z))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@hypothesis.given(a=_K_A,
+                  xs=st.lists(st.floats(min_value=0.0, max_value=1.2e17),
+                              min_size=2, max_size=30).map(sorted))
+def test_k_order_log_derivative_positive_and_nonincreasing(a, xs):
+    # [0, 1.2e17] is the range of the bound's g profile
+    vals = k_order_log_derivative(a, np.array(xs))
+    assert np.all(vals > 0.0)
+    assert np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-13))
