@@ -8,17 +8,11 @@ the window that _window returns.  These are entire and decay doubly
 exponentially, so one rule serves them all: the equispaced trapezoidal rule,
 which converges geometrically there (Trefethen & Weideman, SIAM Review 56,
 2014).  Values re-centre the exponent at its interior maximum
-u* = asinh(nu/a), so every sample has modulus at most one; order-zeros are
-sign changes of the cosine integral K_{i*tau}(a), scanned in blocks and
-refined in one bracketed solve per block.  Nothing is cached between calls.
-
-The zero list obtainable this way is short (the integral drops below the
-scanning noise floor near tau ~ 19), so KOrderModel marks its zero data as
-non-authoritative and models the tail by a quadratic matched to the last
-computed zero.  The matched tail over-estimates the true zeros beyond the
-head, so phi, the zero sums and every quantity built from model.zeros()
-(the intermediate exponent among them) are low estimates of the true
-values, not certified upper bounds.
+u* = asinh(nu/a), so every sample has modulus at most one, and halve the
+step until two sums agree; the cosine integral K_{i*tau}(a) on the negative
+axis, whose sign changes are the order-zeros, is summed on nodes sized by
+its alias bound instead.  Nothing is cached between calls.  KOrderModel's
+zero tail is a low-side estimate (see its docstring).
 """
 
 from __future__ import annotations
@@ -43,15 +37,17 @@ _WINDOW_DROP = 55.0
 _OVERFLOW_EXPONENT = 700.0
 _WINDOW_GROWTH = 1.25
 
-# trapezoid intervals of the first sum, and the most the halving may reach
+# trapezoid intervals of the first sum and the most the halving may reach,
+# more for one value, whose integrand oscillates ever faster near z < 0
 _TRAP_START = 32
 _TRAP_CAP = 4096
+_TRAP_CAP_ONE = 65536
 
 _SCAN_STEP = 0.05
 _FLOOR_ABS = 1e-13
 _FLOOR_RUN = 8
 _TAU_CAP = 200.0
-# least gap from a scan block's top tau to its nodes' alias frequency
+# least gap from the top tau of a cosine sum to its nodes' alias frequency
 _ALIAS_GAP = 32.0
 
 # Crossover below which the log-derivative switches to the even-moment
@@ -113,15 +109,15 @@ def _window(w_re: float, nu_re: float):
     return one_side(-1.0), one_side(1.0)
 
 
-def _trapezoid(f, lo, hi, rel_tol: float, abs_tol: float = 0.0,
-               finish=lambda m: m):
+def _trapezoid(f, lo, hi, rel_tol: float, finish=lambda m: m,
+               cap: int = _TRAP_CAP):
     """Trapezoidal rule for f over [lo, hi] (arrays: one interval per row).
 
     f maps nodes (node axis last) to values, optionally stacked along a
     leading axis; `finish` maps those integrals to the returned value.  The
     step is halved, reusing every node, until the last two returned values
-    agree within max(rel_tol * |value|, abs_tol) everywhere; past _TRAP_CAP
-    intervals ConvergenceError is raised.
+    agree within rel_tol * |value| everywhere; past `cap` intervals
+    ConvergenceError is raised.
     """
     lo = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - lo
@@ -129,25 +125,37 @@ def _trapezoid(f, lo, hi, rel_tol: float, abs_tol: float = 0.0,
     vals = f(lo + width * np.linspace(0.0, 1.0, n + 1))
     total = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
     est = finish(total * (width[..., 0] / n))
-    while n < _TRAP_CAP:
+    while n < cap:
         total = total + f(lo + width * ((np.arange(n) + 0.5) / n)).sum(axis=-1)
         n *= 2
         new = finish(total * (width[..., 0] / n))
-        if np.all(np.abs(new - est) <= np.maximum(rel_tol * np.abs(new), abs_tol)):
+        if np.all(np.abs(new - est) <= rel_tol * np.abs(new)):
             return new
         est = new
-    raise ConvergenceError(f"trapezoidal rule not settled at {_TRAP_CAP} "
-                           f"intervals (rel_tol {rel_tol:g}, abs_tol {abs_tol:g})")
+    raise ConvergenceError(f"trapezoidal rule not settled at {cap} "
+                           f"intervals (rel_tol {rel_tol:g})")
+
+
+def _cos_nodes(a: float, tau_top: float):
+    """Trapezoid nodes u on [0, vp] of _window(a, 0) and weighted samples f
+    of e^{-a cosh u}: K_{i*tau}(a) = cos(tau u) @ f for 0 <= tau <= tau_top.
+
+    The sum at step h is sum_k K_{i(tau - 2 pi k/h)}(a) (Poisson), so two
+    halvings can agree on a shared alias; instead n keeps every alias
+    _ALIAS_GAP past tau_top + a, where K_{is}(a) ~ e^{-pi s/2} is negligible.
+    """
+    vp = _window(a, 0.0)[1]
+    n = int(math.ceil(vp * (tau_top + a + _ALIAS_GAP) / (2.0 * math.pi)))
+    u = np.linspace(0.0, vp, n + 1)
+    f = np.exp(-a * np.cosh(u)) * (vp / n)
+    f[[0, -1]] *= 0.5
+    return u, f
 
 
 def _cos_form(a: float, tau: float) -> float:
-    """K_{i*tau}(a) as the truncated cosine integral (real, sign-indefinite)."""
-    vp = _window(a, 0.0)[1]
-
-    def g(u):
-        return np.exp(-a * np.cosh(u)) * np.cos(tau * u)
-
-    return float(_trapezoid(g, 0.0, vp, rel_tol=1e-12, abs_tol=1e-15))
+    """K_{i*tau}(a), real and sign-indefinite, on the nodes of _cos_nodes."""
+    u, f = _cos_nodes(a, tau)
+    return float(np.cos(tau * u) @ f)
 
 
 def k_order_eval(a: float, z) -> complex:
@@ -180,7 +188,8 @@ def k_order_eval(a: float, z) -> complex:
     def g(v):
         return np.exp(-w * _cosh_m1(v) - nu * _sinh_mv(v))
 
-    val = 0.5 * cmath.exp(pref) * complex(_trapezoid(g, vm, vp, rel_tol=1e-11))
+    val = 0.5 * cmath.exp(pref) * complex(_trapezoid(g, vm, vp, rel_tol=1e-11,
+                                                      cap=_TRAP_CAP_ONE))
     return float(val.real) if zc.imag == 0.0 else val
 
 
@@ -264,12 +273,9 @@ def k_order_log_derivative(a: float, x):
 def k_order_zeros(a: float, count: int) -> np.ndarray:
     """Squared order-zeros tau_n^2 of K_{i*tau}(a), smallest first.
 
-    Scans tau -> K_{i*tau}(a) at step 0.05 in blocks of 8 for sign changes
-    and refines each block's brackets in one bracketed solve, on fixed
-    trapezoid nodes over [0, vp] of _window(a, 0).  By Poisson summation
-    their error at step h is about K_{i(2 pi/h - tau)}(a), which falls like
-    e^{-pi (2 pi/h - tau)/2} past 2 pi/h - tau = a, so the node count keeps
-    2 pi/h >= tau + a + 32 at the block's top tau.  Scanning stops once the
+    Scans tau -> K_{i*tau}(a) at step 0.05 in blocks of 8 for sign changes,
+    on the nodes of _cos_nodes for the block's top tau, and refines each
+    block's brackets in one bracketed solve.  Scanning stops once the
     integral sits below 1e-13 for several steps (the noise floor); fewer
     than `count` zeros by then raise InsufficientZerosError.
     """
@@ -278,19 +284,14 @@ def k_order_zeros(a: float, count: int) -> np.ndarray:
     if not 1 <= count <= _HEAD_MAX:
         raise DomainError(f"count must be in [1, {_HEAD_MAX}], got {count}")
 
-    vp = _window(a, 0.0)[1]
     taus: list[float] = []
     block = 8.0
     t_lo = 0.0
     floor_run = 0
-    prev_tau = None
-    prev_val = None
+    prev_tau = prev_val = None
     while t_lo < _TAU_CAP and len(taus) < count and floor_run < _FLOOR_RUN:
         t_hi = t_lo + block
-        n = int(math.ceil(vp * (t_hi + a + _ALIAS_GAP) / (2.0 * math.pi)))
-        u = np.linspace(0.0, vp, n + 1)
-        f = np.exp(-a * np.cosh(u)) * (vp / n)
-        f[[0, -1]] *= 0.5
+        u, f = _cos_nodes(a, t_hi)
 
         def integral(tau):
             return np.cos(np.multiply.outer(tau, u)) @ f

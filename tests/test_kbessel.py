@@ -1,6 +1,7 @@
 """Order-direction profile z -> K_sqrt(z)(a): evaluation, log-derivative,
 zero scan, model adapter."""
 
+import cmath
 import math
 
 import numpy as np
@@ -58,6 +59,33 @@ def test_eval_matches_mpmath_besselk(a, verify_points):
             want = complex(mpmath.besselk(mpmath.sqrt(mpmath.mpc(z)), a))
         got = complex(k_order_eval(a, z))
         assert abs(got - want) <= 1e-12 * abs(want), (a, z)
+
+
+@pytest.mark.parametrize("a, z", [(1.0, -4650.0), (0.5, -3546.0),
+                                  (2.0, -9900.0), (1.0, -7264.0), (1.0, -2.0)])
+def test_eval_negative_axis_matches_mpmath(a, z):
+    # the first three sit at tau = sqrt(-z) ~ 128 pi/vp, vp the window end:
+    # trapezoid sums at 32 and 64 intervals there share the alias
+    # K_{i(128 pi/vp - tau)}(a) ~ K_0(a), so two agreeing halvings would
+    # accept it, while the true values are below 1e-45
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(mpmath.re(mpmath.besselk(1j * math.sqrt(-z), a)))
+    assert abs(k_order_eval(a, z) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.98 * math.pi, 0.99 * math.pi])
+@pytest.mark.parametrize("r", [10.0, 1000.0])
+def test_eval_near_negative_axis_matches_mpmath(r, theta):
+    # Re nu / |nu| ~ 0.016 at 0.99 pi: the centred integrand oscillates so
+    # fast that the halvings settle only at 4,096-16,384 intervals
+    mpmath = pytest.importorskip("mpmath")
+    z = cmath.rect(r, theta)
+    for a in (0.5, 2.0):
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(mpmath.sqrt(mpmath.mpc(z)), a))
+        got = complex(k_order_eval(a, z))
+        assert abs(got - want) <= 1e-11 * abs(want), (a, z)
 
 
 def test_eval_unresolved_integral_raises():
