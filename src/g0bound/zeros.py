@@ -1,12 +1,18 @@
 """Zero sequences of genus-0 entire functions with only negative zeros, and
 every quantity derived directly from the zeros: the sums S(rho) = sum z_n^-rho,
-the canonical product f(z)/f(0) = prod(1 + z/z_n), the auxiliary function
+the canonical product f(z)/f(0) = prod(1 + z/z_n), the reciprocal sums
+sum (w + z_n)^-power (f'/f for power 1), the auxiliary function
 phi(t) = sum exp(-z_n t) with its weighted supremum.
 
 A ZeroSequence stores an explicit head z_1 <= ... <= z_N plus a power-law tail
 model z_n ~ c*(n + offset)^p for n > N.  All tail sums are evaluated by
 Euler-Maclaurin-corrected integrals, so head lengths of a few hundred zeros
 already reach ~1e-8 relative accuracy for the quantities above.
+
+The reciprocal sums sum a head densely only up to the zeros near |w|: the
+zeros past 4|w| enter through a table of suffix power sums at doubling
+breakpoints (ZeroSequence.suffix_power_table), and a head below |w|/4 through
+its moments (ZeroSequence.head_moments).
 """
 
 from __future__ import annotations
@@ -36,8 +42,19 @@ __all__ = [
 # terms with z_n*t exceeding the leading exponent by this much are below
 # 1e-18 of the accumulated head sum and are dropped
 _PHI_EXPONENT_WINDOW = 46.0
-# phi_vec sums at most this many head terms per block (a 0.5 MB temporary)
-_PHI_BLOCK_TERMS = 2 ** 16
+# _head_sums takes at most this many head terms per block (a 0.5 MB
+# temporary for real terms)
+_BLOCK_TERMS = 2 ** 16
+# the expansions of the reciprocal sums: a zero z counts as far from w when
+# z > 4|w| (suffix table) or |w| > 4z (head moments); past 32 terms of
+# either series the first omitted term is at most binom(power+31, 32) 4^-32
+# of the leading one, 3.5e-16 at power 4, the highest the table carries
+_EXPANSION_RATIO = 4.0
+_SERIES_TERMS = 32
+_TABLE_MAX_POWER = 4
+_TABLE_POWERS = _SERIES_TERMS + _TABLE_MAX_POWER - 1
+# the tail model's own expansions run at a ratio of at most 1/2
+_TAIL_SERIES_TERMS = 120
 # sup_weighted_phi: stored phi samples per sequence, points per refinement
 _SUP_GRID_POINTS = 512
 _SUP_REFINE_POINTS = 33
@@ -60,8 +77,10 @@ class ZeroSequence:
 
     The zeros and tail model are immutable after construction.  The only
     mutations are value-idempotent memos filled on first use: the tail power
-    sums per rho, the head moments per power, and the phi samples behind
-    sup_weighted_phi (phi_samples).
+    sums per rho, the suffix power-sum table and the scaled head moments
+    behind the reciprocal sums (suffix_power_table, head_moments), and the
+    phi samples behind sup_weighted_phi (phi_samples).  None is built at
+    construction.
     """
 
     def __init__(self, head: Sequence[float], tail_exponent: float,
@@ -97,7 +116,8 @@ class ZeroSequence:
         self.tail_shift = float(tail_shift)
         self.order_rho0 = float(order_rho0)
         self._power_memo: dict[float, tuple[float, float]] = {}
-        self._moment_memo: dict[int, float] = {}
+        self._suffix_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._head_moments: np.ndarray | None = None
         self._phi_samples: tuple[np.ndarray, np.ndarray] | None = None
         if self.has_tail and self.model_zero(arr.size + 1) <= 0.0:
             raise DomainError("tail model must stay positive past the head")
@@ -139,29 +159,44 @@ class ZeroSequence:
         memo = self._power_memo.get(rho)
         if memo is not None:
             return memo
-        p, c, delta = self.tail_exponent, self.tail_coefficient, self.tail_offset
-        s = p * rho
-        if s <= 1.0:
+        if self.tail_exponent * rho <= 1.0:
             raise DivergenceError(
                 f"sum z_n^-rho diverges: rho = {rho!r} <= order rho0 = {self.order_rho0!r}")
-        A = self.head_count + 1 + delta
-        t = self._hurwitz_tail(s, self.head_count)
-        err = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * A ** (-s - 5.0) / 30240.0
-        val, err = c ** (-rho) * t, c ** (-rho) * err
-        if self.tail_shift != 0.0:
-            # (pure + shift)^-rho expanded to second order in shift/pure
-            b = self.tail_shift
-            h1 = c ** (-(rho + 1.0)) * self._hurwitz_tail(p * (rho + 1.0),
-                                                          self.head_count)
-            h2 = c ** (-(rho + 2.0)) * self._hurwitz_tail(p * (rho + 2.0),
-                                                          self.head_count)
-            h3 = c ** (-(rho + 3.0)) * self._hurwitz_tail(p * (rho + 3.0),
-                                                          self.head_count)
-            val += -rho * b * h1 + 0.5 * rho * (rho + 1.0) * b * b * h2
-            err += abs(rho * (rho + 1.0) * (rho + 2.0) / 6.0 * b ** 3 * h3)
-        result = (val, err)
+        scale = self._tail_base() ** (-rho)
+        val, err = self._tail_power_scaled(rho)
+        result = (scale * float(val), scale * float(err))
         self._power_memo[rho] = result
         return result
+
+    def _tail_base(self) -> float:
+        """c (N + 1 + offset)^p: the first model zero past the head, shift
+        not included."""
+        return self.tail_coefficient * (
+            self.head_count + 1 + self.tail_offset) ** self.tail_exponent
+
+    def _tail_power_scaled(self, rho):
+        """(base^rho T, base^rho err) for the tail power sum T = sum_{n>N}
+        z_n^-rho and its error bound, base = _tail_base(); both stay O(1) for
+        every rho > 1/p, so no factor leaves the floating range.  rho may be
+        an ndarray.
+
+        The Euler-Maclaurin value of sum (n + offset)^-s, s = p rho; a tail
+        shift b enters to second order in b/base, its third-order term is
+        added to the error."""
+        p, A = self.tail_exponent, self.head_count + 1 + self.tail_offset
+        s = p * rho
+        val = self._hurwitz_scaled(s, self.head_count)
+        err = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / (30240.0 * A ** 5)
+        if self.tail_shift != 0.0:
+            # (pure + shift)^-rho expanded to second order in shift/pure
+            beta = self.tail_shift / self._tail_base()
+            n0 = self.head_count
+            val = (val - rho * beta * self._hurwitz_scaled(p * (rho + 1.0), n0)
+                   + 0.5 * rho * (rho + 1.0) * beta * beta
+                   * self._hurwitz_scaled(p * (rho + 2.0), n0))
+            err = err + abs(rho * (rho + 1.0) * (rho + 2.0) / 6.0 * beta ** 3
+                            * self._hurwitz_scaled(p * (rho + 3.0), n0))
+        return val, err
 
     def tail_exp_sum(self, t):
         """sum_{n>N} exp(-z_n t) under the tail model (t scalar or ndarray)."""
@@ -209,21 +244,18 @@ class ZeroSequence:
         w = np.asarray(w) + self.tail_shift if self.tail_shift != 0.0 else w
         if power == 1:
             return self._tail_recip1(w, self.head_count)
-        base = self.tail_coefficient * (
-            self.head_count + 1 + self.tail_offset) ** self.tail_exponent
+        base = self._tail_base()
         if np.max(np.abs(w)) > 0.5 * base:
             raise DomainError(
                 f"tail expansion for power {power} needs |w| <= {0.5 * base:.3g}")
         return self._recip_series_small(w, self.head_count, power)
 
-    def _hurwitz_tail(self, s: float, n0: int) -> float:
-        """EM value of sum_{n>n0} (n + offset)^-s (s > 1)."""
+    def _hurwitz_scaled(self, s, n0: int):
+        """A^s times the Euler-Maclaurin value of sum_{n>n0} (n + offset)^-s,
+        A = n0 + 1 + offset (s > 1, scalar or ndarray)."""
         A = n0 + 1 + self.tail_offset
-        if s > 700.0:
-            return 0.0
-        return (A ** (1.0 - s) / (s - 1.0) + 0.5 * A ** (-s)
-                + s * A ** (-s - 1.0) / 12.0
-                - s * (s + 1.0) * (s + 2.0) * A ** (-s - 3.0) / 720.0)
+        return (A / (s - 1.0) + 0.5 + s / (12.0 * A)
+                - s * (s + 1.0) * (s + 2.0) / (720.0 * A ** 3))
 
     def _tail_recip1(self, w, n0: int):
         scalar = np.ndim(w) == 0
@@ -248,7 +280,8 @@ class ZeroSequence:
             ns = np.arange(n0 + 1, n0 + ext + 1, dtype=float)
             zext = c * (ns + delta) ** p
             wm = w[mid]
-            head_ext = np.sum(1.0 / (wm[:, None] + zext[None, :]), axis=1)
+            terms = np.add.outer(wm, zext)
+            head_ext = np.divide(1.0, terms, out=terms).sum(axis=1)
             out[mid] = head_ext + self._recip_series_small(wm, n0 + ext)
         return out[0] if scalar else out
 
@@ -257,29 +290,16 @@ class ZeroSequence:
         with T_j the model power sums past n0; converges for |w| below half
         the first model zero.
 
-        Each term is accumulated as binom(power+k-1, k) (-w/base)^k times an
-        O(1) correction, scaled by base^-power, so that no factor leaves the
+        Each term is binom(power+k-1, k) (-w/base)^k times an O(1)
+        correction, scaled by base^-power, so that no factor leaves the
         floating range even when |w| is large in absolute terms (the ratio
-        stays <= 1/2 on this branch)."""
+        stays <= 1/2 on this branch, so 120 terms reach roundoff)."""
         p = self.tail_exponent
-        c = self.tail_coefficient
-        A = n0 + 1 + self.tail_offset
-        base = c * A ** p
-        scale = base ** power
+        base = self.tail_coefficient * (n0 + 1 + self.tail_offset) ** p
         q = -np.asarray(w) / base
-        acc = np.zeros(q.shape, dtype=np.result_type(q, float))
-        qk = np.ones_like(acc)
-        for k in range(120):
-            s = p * (power + k)
-            # A^s times the Euler-Maclaurin tail of _hurwitz_tail
-            corr = (A / (s - 1.0) + 0.5 + s / (12.0 * A)
-                    - s * (s + 1.0) * (s + 2.0) / (720.0 * A ** 3))
-            term = qk * (corr / scale)
-            acc = acc + term
-            if np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(acc)), 1e-300):
-                break
-            qk = qk * q * ((power + k) / (k + 1.0))
-        return acc
+        sums = self._hurwitz_scaled(p * (power + np.arange(_TAIL_SERIES_TERMS)), n0)
+        return (_binomial_series(q.reshape(-1), sums, power).reshape(q.shape)
+                / base ** power)
 
     def _recip1_large(self, w, A: float, base: float):
         """Closed-form route for |w| >= 2*c*A^p:
@@ -290,16 +310,9 @@ class ZeroSequence:
         cp = (math.pi / p) / math.sin(math.pi / p)
         logw = np.log(w.astype(complex)) if np.iscomplexobj(w) else np.log(w)
         full = cp * c ** (-inv_p) * np.exp((inv_p - 1.0) * logw)
-        # int_0^A du/(w + c u^p) expanded in powers of (c A^p / w)
-        comp = np.zeros(w.shape, dtype=np.result_type(w, float))
-        ratio = np.ones_like(comp)
-        for k in range(120):
-            term = ratio * (A / (p * k + 1.0))
-            comp = comp + term
-            if np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(comp)), 1e-300):
-                break
-            ratio = ratio * (-base / w)
-        comp = comp / w
+        # int_0^A du/(w + c u^p) expanded in powers of (c A^p / w) <= 1/2
+        k = np.arange(_TAIL_SERIES_TERMS)
+        comp = _binomial_series(-base / w, A / (p * k + 1.0), 1) / w
         integral = full - comp
         # EM endpoint corrections at a = N+1 (u = A)
         q = base
@@ -315,14 +328,60 @@ class ZeroSequence:
                     - 6.0 * qp ** 3 / d ** 4)
         return integral + 0.5 * g - gp / 12.0 + gppp / 720.0
 
-    # -- head moments for the far-field log-derivative ---------------------
+    # -- expansion tables for the reciprocal sums --------------------------
 
-    def head_moment(self, k: int) -> float:
-        m = self._moment_memo.get(k)
-        if m is None:
-            m = float(np.sum(self.head ** k)) if k else float(self.head_count)
-            self._moment_memo[k] = m
-        return m
+    def suffix_power_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m, r, Q): scaled suffix power sums at the doubling breakpoints.
+
+        Rows sit at m = 0, 1, 2, 4, ..., 2^j < N, plus m = N for a tailed
+        sequence.  r[i] = min_{n > m_i} z_n, which is z_{m_i + 1} unless the
+        tail model dips below the head, and Q[i, k-1] = r[i]^k sum_{n > m_i}
+        z_n^-k for k = 1.._TABLE_POWERS, tail included (its terms are
+        tail_power_sum(k) scaled by r^k).  Every ratio r[i]/z_n is at most 1,
+        so Q[i] is O(N - m_i) and no factor leaves the floating range.
+
+        Built on the first call: the powers of each head zero's ratio by one
+        cumulative product, the sums between breakpoints by one reduceat, and
+        the suffix sums as one contraction with the powers of r[i]/r[l].
+        """
+        if self._suffix_table is None:
+            n = self.head_count
+            m = np.concatenate(([0], 2 ** np.arange((n - 1).bit_length())))
+            first = self.head[m]
+            ks = np.arange(1.0, _TABLE_POWERS + 1.0)
+            if self.has_tail:
+                base = self._tail_base()
+                z_tail = base + self.tail_shift
+                first = np.append(first, z_tail)
+            r = np.minimum.accumulate(first[::-1])[::-1]
+            u = np.repeat(r[:m.size], np.diff(np.append(m, n))) / self.head
+            with np.errstate(under="ignore"):
+                powers = np.cumprod(np.broadcast_to(u[:, None], (n, ks.size)),
+                                    axis=1)
+                blocks = np.add.reduceat(powers, m, axis=0)
+                if self.has_tail:
+                    tail = (z_tail / base) ** ks * self._tail_power_scaled(ks)[0]
+                    blocks = np.vstack([blocks, tail])
+                    m = np.append(m, n)
+                lift = np.triu(r[:, None] / r[None, :])[:, :, None] ** ks
+                suffix = np.einsum("ilk,lk->ik", lift, blocks)
+            for a in (m, r, suffix):
+                a.setflags(write=False)
+            self._suffix_table = (m, r, suffix)
+        return self._suffix_table
+
+    def head_moments(self) -> np.ndarray:
+        """mu_k = sum_n (z_n/z_N)^k over the head for k < _SERIES_TERMS, the
+        scaled moments of the far-field expansion; built on the first call."""
+        if self._head_moments is None:
+            u = self.head / self.head[-1]
+            with np.errstate(under="ignore"):
+                powers = np.cumprod(
+                    np.broadcast_to(u[:, None], (u.size, _SERIES_TERMS - 1)), axis=1)
+            mu = np.concatenate(([float(u.size)], powers.sum(axis=0)))
+            mu.setflags(write=False)
+            self._head_moments = mu
+        return self._head_moments
 
     # -- phi samples for the weighted supremum -----------------------------
 
@@ -406,25 +465,38 @@ def phi_vec(zs: ZeroSequence, t):
     flat = t.reshape(-1)
     zh = zs.head
     k = np.searchsorted(zh, zh[0] + _PHI_EXPONENT_WINDOW / flat, side="right")
+    with np.errstate(under="ignore"):
+        out = _head_sums(zh, flat, k, lambda ts, z: np.exp(-ts * z))
+    if zs.has_tail:
+        out += zs.tail_exp_sum(flat)
+    return out.reshape(t.shape) if t.ndim else float(out[0])
+
+
+def _head_sums(zh: np.ndarray, x: np.ndarray, k: np.ndarray, term):
+    """out[i] = sum_{n < k[i]} term(x[i], zh[n]) for a 1-d x and head counts
+    0 <= k[i] <= zh.size.
+
+    The rows are taken in order of k, in blocks of at most 2^16 terms; each
+    block is one term(x[rows, None], zh[:k_max]) with every row's terms past
+    its own count set to 0.
+    """
     order = np.argsort(k, kind="stable")
-    ks, ts = k[order], flat[order]
-    out = np.empty(flat.shape, dtype=float)
-    i = 0
+    ks, xs = k[order], x[order]
+    out = np.zeros(x.shape, dtype=np.result_type(x, zh))
+    i = int(np.searchsorted(ks, 0, side="right"))
     while i < ks.size:
         # the longest run [i, j) whose block of rows x k_max terms fits the
         # cap (ks is sorted, so the running product is nondecreasing)
         rows = np.arange(1, ks.size - i + 1)
-        j = i + max(1, int(np.searchsorted(rows * ks[i:], _PHI_BLOCK_TERMS,
+        j = i + max(1, int(np.searchsorted(rows * ks[i:], _BLOCK_TERMS,
                                            side="right")))
         kb = ks[i:j]
-        x = np.multiply.outer(-ts[i:j], zh[:kb[-1]])
-        x[np.arange(kb[-1]) >= kb[:, None]] = -np.inf
-        with np.errstate(under="ignore"):
-            out[order[i:j]] = np.exp(x, out=x).sum(axis=1)
+        terms = term(xs[i:j, None], zh[:kb[-1]])
+        if kb[0] < kb[-1]:
+            terms[np.arange(kb[-1]) >= kb[:, None]] = 0.0
+        out[order[i:j]] = terms.sum(axis=1)
         i = j
-    if zs.has_tail:
-        out += zs.tail_exp_sum(flat)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
+    return out
 
 
 def phi(zs: ZeroSequence, t: float) -> float:
@@ -502,12 +574,6 @@ class FunctionModel:
         return f"<{type(self).__name__} {self.model_id}>"
 
 
-# far-field switch: beyond this multiple of z_N the head sum collapses to a
-# short moment expansion in 1/x
-_FAR_FIELD_FACTOR = 20.0
-_FAR_FIELD_MOMENTS = 9
-
-
 class ZeroProductModel(FunctionModel):
     """FunctionModel realized directly from a ZeroSequence: value_ratio is
     the canonical product, log_derivative the sum of 1/(x + z_n)."""
@@ -539,43 +605,74 @@ def reciprocal_zero_sum(zs: ZeroSequence, w):
     """sum_n 1/(w + z_n) over head and tail; w real/complex, scalar or array.
 
     This is the log-derivative of the canonical product (for w = x > 0) and
-    its analytic continuation off the axis.
+    its analytic continuation off the axis.  Each w takes one of three
+    routes, by |w| against the zeros:
+
+    - table: 4|w| < z_{N+1}, the first model zero (for a head-only
+      sequence, 4|w| < z_{m+1} at the last breakpoint m = 2^j < N).  The
+      head is summed densely up to the first breakpoint m of
+      ZeroSequence.suffix_power_table with z_{m+1} > 4|w|, and every zero
+      past it, tail included, enters as sum_k (-w)^k P_{k+1}(m) with the
+      suffix power sums P_k(m) = sum_{n>m} z_n^-k;
+    - far field: otherwise, if |w| > 4 z_N, the head is the moment expansion
+      sum_k (-z_N/w)^k mu_k / w in ZeroSequence.head_moments;
+    - dense: otherwise the whole head is summed term by term;
+
+    the last two add ZeroSequence.tail_reciprocal_sum.  Both series run to
+    32 terms at a ratio of at most 1/4, a truncation below roundoff.
     """
-    scalar = np.ndim(w) == 0
-    wa = np.atleast_1d(np.asarray(w))
-    out = np.zeros(wa.shape, dtype=np.result_type(wa, float))
-    zN = float(zs.head[-1])
-    aw = np.abs(wa)
-    far = aw > _FAR_FIELD_FACTOR * zN
-    near = ~far
-    if np.any(near):
-        wn = wa[near]
-        out[near] = np.sum(1.0 / (wn[:, None] + zs.head[None, :]), axis=1)
-    if np.any(far):
-        wf = wa[far]
-        acc = np.zeros(wf.shape, dtype=out.dtype)
-        sign = 1.0
-        for k in range(_FAR_FIELD_MOMENTS):
-            acc = acc + sign * zs.head_moment(k) * wf ** (-(k + 1.0))
-            sign = -sign
-        out[far] = acc
-    if zs.has_tail:
-        out = out + zs.tail_reciprocal_sum(wa)
-    return out[0] if scalar else out
+    return reciprocal_power_zero_sum(zs, w, 1)
 
 
 def reciprocal_power_zero_sum(zs: ZeroSequence, w, power: int):
     """sum_n (w + z_n)^-power (head + tail); the building block for the
-    derivatives of the log-derivative."""
-    if power == 1:
-        return reciprocal_zero_sum(zs, w)
-    if np.ndim(w) == 0:
-        head = np.sum((w + zs.head) ** (-float(power)))
+    derivatives of the log-derivative.
+
+    Powers up to 4 take the routes of reciprocal_zero_sum, with the binomial
+    weights binom(power+k-1, k) on both series; higher powers sum the head
+    densely.  Past the table, tail_reciprocal_sum raises DomainError for
+    power >= 2 once |w| exceeds half the first model zero.
+    """
+    scalar = np.ndim(w) == 0
+    wa = np.asarray(w).reshape(-1)
+    aw = np.abs(wa)
+    # each w's route: a table row (near), the head moments (far) or neither;
+    # dense[i] head zeros are summed term by term
+    m, r, suffix = zs.suffix_power_table()
+    row = np.searchsorted(r, _EXPANSION_RATIO * aw, side="right")
+    near = row < r.size
+    far = ~near & (aw > _EXPANSION_RATIO * zs.head[-1])
+    if power > _TABLE_MAX_POWER:
+        near[:] = far[:] = False
+    dense = np.where(near, m[np.minimum(row, r.size - 1)],
+                     np.where(far, 0, zs.head_count))
+    if power == 1:  # a division is about twice as fast as ** -1.0
+        out = _head_sums(zs.head, wa, dense, lambda x, z: 1.0 / (x + z))
     else:
-        wa = np.asarray(w)
-        head = np.sum((wa[..., None] + zs.head) ** (-float(power)), axis=-1)
-    tail = zs.tail_reciprocal_sum(w, power) if zs.has_tail else 0.0
-    return head + tail
+        out = _head_sums(zs.head, wa, dense,
+                         lambda x, z: (x + z) ** -float(power))
+    if near.any():
+        rn = r[row[near]]
+        sums = suffix[row[near], power - 1:power - 1 + _SERIES_TERMS]
+        out[near] += _binomial_series(-wa[near] / rn, sums, power) / rn ** power
+    if far.any():
+        wf = wa[far]
+        out[far] += (_binomial_series(-zs.head[-1] / wf, zs.head_moments(), power)
+                     / wf ** power)
+    if zs.has_tail and not near.all():
+        out[~near] += zs.tail_reciprocal_sum(wa[~near], power)
+    return out[0] if scalar else out.reshape(np.shape(w))
+
+
+def _binomial_series(q, sums, power: int):
+    """sum_k binom(power+k-1, k) q^k sums[..., k] over k < sums.shape[-1]
+    for a 1-d q: the expansion of (1 - q)^-power, term by term weighted."""
+    k = np.arange(1.0, np.shape(sums)[-1])
+    weights = np.cumprod(np.concatenate(([1.0], (power - 1.0 + k) / k)))
+    with np.errstate(under="ignore"):
+        terms = np.vander(q, k.size + 1, increasing=True)
+        terms *= weights * sums
+    return terms.sum(axis=-1)
 
 
 def model_from_zeros(zs: ZeroSequence, f0: float = 1.0,

@@ -11,7 +11,8 @@ st = hypothesis.strategies
 
 from g0bound.bessel import bessel_j_squared_zeros  # noqa: E402
 from g0bound.kbessel import k_order_eval, k_order_log_derivative  # noqa: E402
-from g0bound.zeros import ZeroSequence, phi_vec, sup_weighted_phi  # noqa: E402
+from g0bound.zeros import (ZeroSequence, phi_vec,  # noqa: E402
+                           reciprocal_power_zero_sum, sup_weighted_phi)
 
 _ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
                   max_size=50).map(sorted)
@@ -30,6 +31,38 @@ def test_sup_weighted_phi_between_grid_and_paper_bound(head, rho):
         np.sum(np.asarray(head) ** -rho))
     sup = sup_weighted_phi(zs, rho)
     assert grid_best <= sup <= upper * (1.0 + 1e-12)
+
+
+_TAIL = st.one_of(st.none(), st.tuples(st.floats(min_value=1.1, max_value=4.0),
+                                        st.floats(min_value=0.5, max_value=4.0)))
+_MODULI = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)
+                             .map(lambda e: 10.0 ** e)), min_size=1, max_size=20)
+
+
+@hypothesis.given(head=_ZEROS, tail=_TAIL, moduli=_MODULI,
+                  theta=st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi))
+def test_reciprocal_sums_match_dense_reference(head, tail, moduli, theta):
+    # tail: (p, s) puts the first model zero at s z_N, so it may fall below
+    # the head's last zero; reference: the head term by term plus the tail
+    # model's own sum
+    if tail is None:
+        zs = ZeroSequence(head, 2.0, None)
+    else:
+        p, s = tail
+        zs = ZeroSequence(head, p, s * head[-1] / (len(head) + 1.0) ** p)
+    x = np.asarray(moduli)
+    for w in (x, x * cmath.exp(1j * theta)):
+        for power in (1, 2, 3, 4):
+            if power > 1 and zs.has_tail:
+                # the tail model's expansion for power >= 2 stops there
+                w = w[np.abs(w) <= 0.5 * zs.model_zero(len(head) + 1)]
+                if not w.size:
+                    continue
+            want = np.sum((w[:, None] + zs.head) ** -float(power), axis=1)
+            if zs.has_tail:
+                want = want + zs.tail_reciprocal_sum(w, power)
+            got = reciprocal_power_zero_sum(zs, w, power)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), power
 
 
 @hypothesis.given(nu=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True))

@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from g0bound import zeros
+from g0bound import bound, zeros
+from g0bound.airy import AiryPairModel
 from g0bound.bessel import BesselIModel
 from g0bound.errors import DivergenceError, DomainError
+from g0bound.models import toy_square_model
+from g0bound.numerics import doubling_panel_rules
 from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, phi_vec,
                            product_eval, reciprocal_power_zero_sum,
                            reciprocal_zero_sum, sup_weighted_phi, zero_sum)
@@ -257,3 +260,98 @@ def test_sup_weighted_phi_work_budget(monkeypatch):
     calls.clear()
     sup_weighted_phi(zs, 0.6)
     assert 512 not in calls and 1 <= len(calls) <= 16
+
+
+def _profile_nodes():
+    """x = 0 and every node at which bound._Profile samples f'/f."""
+    x_gl, _, x_lob, _ = doubling_panel_rules(bound._EPS, bound._PANELS)
+    return np.concatenate(([0.0], x_lob, x_gl))
+
+
+def _dense_reciprocal_sum(zs, w, power=1):
+    """Reference: the head summed term by term, plus the tail model's sum."""
+    w = np.asarray(w)
+    head = np.sum((w[:, None] + zs.head) ** -float(power), axis=1)
+    return head + (zs.tail_reciprocal_sum(w, power) if zs.has_tail else 0.0)
+
+
+def _rotations(x):
+    # the same moduli turned through the closed right half-plane
+    return x * np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, x.size))
+
+
+def test_reciprocal_sum_toy_profile_matches_mpmath():
+    # sum_n 1/(n^2 + w) = pi coth(pi sqrt w)/(2 sqrt w) - 1/(2w), at every
+    # profile node and at the same moduli off the axis
+    mpmath = pytest.importorskip("mpmath")
+    zs = toy_sequence()
+    x = _profile_nodes()
+    for w in (x, _rotations(x)):
+        got = np.concatenate([reciprocal_zero_sum(zs, w[i:i + 64])
+                              for i in range(0, w.size, 64)])
+        with mpmath.workdps(30):
+            want = np.array([
+                complex(mpmath.pi ** 2 / 6 if v == 0 else
+                        mpmath.pi * mpmath.coth(mpmath.pi * mpmath.sqrt(v))
+                        / (2 * mpmath.sqrt(v)) - 1 / (2 * v))
+                for v in map(mpmath.mpmathify, w.tolist())])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["bessel-nu0", "airy", "head-only"])
+def test_reciprocal_sum_profile_matches_dense_reference(which):
+    zs = {"bessel-nu0": lambda: BesselIModel(0.0).zeros(),
+          "airy": lambda: AiryPairModel().zeros(),
+          "head-only": lambda: model_from_zeros(ZeroSequence(
+              np.arange(1.0, 301.0) ** 1.5, 2.0, None)).zeros()}[which]()
+    x = _profile_nodes()
+    if which == "bessel-nu0":
+        x = x[x > 1e4]  # the model's own series covers smaller x
+    for w in (x, _rotations(x)):
+        got = np.concatenate([reciprocal_zero_sum(zs, w[i:i + 64])
+                              for i in range(0, w.size, 64)])
+        want = _dense_reciprocal_sum(zs, w)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_reciprocal_power_sum_matches_dense_reference():
+    # the table's binomial series for powers 2..4, on and off the axis,
+    # within the range where the tail model's own series applies
+    zs = toy_sequence()
+    x = np.geomspace(1e-3, 1e7, 61)
+    for w in (x, _rotations(x)):
+        for power in (2, 3, 4):
+            got = reciprocal_power_zero_sum(zs, w, power)
+            want = _dense_reciprocal_sum(zs, w, power)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, power
+    with pytest.raises(DomainError):
+        reciprocal_power_zero_sum(zs, 1e9, 2)  # past half the first model zero
+
+
+def test_reciprocal_sum_work_budget(monkeypatch):
+    # one toy profile sums at most 2.0M head terms densely; every zero past
+    # 4x enters through the suffix power-sum table (10.3M terms without it)
+    counted = []
+    real = zeros._head_sums
+
+    def counting(zh, x, k, term):
+        counted.append(int(np.sum(k)))
+        return real(zh, x, k, term)
+
+    monkeypatch.setattr(zeros, "_head_sums", counting)
+    bound._Profile(toy_square_model())
+    assert 0 < sum(counted) <= 2_000_000
+
+
+def test_expansion_tables_built_on_first_use():
+    zs = toy_sequence(head=300)
+    assert zs._suffix_table is None and zs._head_moments is None
+    reciprocal_zero_sum(zs, 1.0)
+    assert zs._suffix_table is not None and zs._head_moments is None
+    m, r, suffix = zs.suffix_power_table()
+    assert m.tolist() == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 300]
+    assert np.array_equal(r, (m + 1.0) ** 2)
+    # the k = 1 column is r * (sum_{n>m} n^-2), tail included
+    want = [r_i * (math.pi ** 2 / 6 - np.sum(1.0 / np.arange(1.0, m_i + 1.0) ** 2))
+            for m_i, r_i in zip(m, r)]
+    assert suffix[:, 0] == pytest.approx(want, rel=1e-12)
