@@ -1,9 +1,12 @@
-"""Modified-Bessel model: series evaluation, log-derivative, squared J zeros.
+"""Modified-Bessel model: evaluation through scipy's ive, log-derivative,
+squared J zeros.
 
 The underlying entire function is F_nu(z) = sum_k z^k / (4^k k! Gamma(nu+k+1)),
 which equals I_nu(sqrt(z)) / (sqrt(z)/2)^nu and has simple zeros exactly at
-z = -j_{nu,n}^2.  All series here run on the term recurrence
-term_{k+1} = term_k * z / (4 (k+1) (nu+k+1)), so no large gammas are formed.
+z = -j_{nu,n}^2.  Past |z| = 4 both F and f'/f come from the exponentially
+scaled ive, which stays finite out to the profile's last node.  At and below
+|z| = 4 the power series is summed: there ive(nu, w) and (w/2)^nu can
+underflow (nu = 2.9 at z = 1e-300; every |w| <= 1 from nu of about 150 on).
 """
 
 import cmath
@@ -12,9 +15,9 @@ import math
 import numpy as np
 import scipy.special
 
-from .errors import ConvergenceError, DomainError, EvaluationOverflowError
+from .errors import ConvergenceError, DomainError
 from .numerics import find_root_bracketed
-from .zeros import FunctionModel, ZeroSequence, product_eval, reciprocal_zero_sum
+from .zeros import FunctionModel, ZeroSequence
 
 __all__ = [
     "bessel_i_scaled",
@@ -23,65 +26,78 @@ __all__ = [
     "BesselIModel",
 ]
 
-SERIES_MAX_ABS = 1e4       # |z| cap for direct series evaluation
-_SERIES_STOP = 1e-17       # term/partial-sum ratio that counts as converged
-_SERIES_STOP_RUN = 3       # consecutive tiny terms required
+DOMAIN_MAX_ABS = 1e4       # |z| cap of bessel_i_scaled and of the model
+_SERIES_MAX_ABS = 4.0      # |z| at or below which the power series is summed
+_SERIES_STOP = 1e-17       # remainder bound, relative to the largest term
 _SERIES_MAX_TERMS = 5000
-# complex arguments lose roughly exp(2 sqrt|z| (1 - cos(arg z / 2))) digits to
-# cancellation; beyond this many e-folds the zero-product route wins
-_CANCEL_LOSS_MAX = 16.0
 
 
 def _series_f(nu, z):
-    """F_nu(z) by the term recurrence; z may be scalar or ndarray."""
-    arr = np.asarray(z)
+    """F_nu(z) by the term recurrence; z is a number or an ndarray.
+
+    The term ratio z/(4(k+1)(nu+k+1)) falls with k, so once below 1/2 the
+    rest of the sum is below the current term; the sum stops when that is
+    under 1e-17 of the largest term.  The stop is decided in Python floats.
+    """
     try:
         t0 = 1.0 / math.gamma(nu + 1.0)
     except (OverflowError, ValueError):
         raise DomainError(f"gamma(nu+1) not representable for nu={nu!r}")
-    term = np.full(arr.shape, t0, dtype=arr.dtype if arr.dtype.kind == "c" else float)
-    total = term.copy()
-    run = 0
+    m = float(np.max(np.abs(z), initial=0.0)) if isinstance(z, np.ndarray) else abs(z)
+    term = total = t0 + 0.0 * z
+    mag = peak = t0
     for k in range(_SERIES_MAX_TERMS):
-        term = term * arr / (4.0 * (k + 1.0) * (nu + k + 1.0))
+        step = 4.0 * (k + 1.0) * (nu + k + 1.0)
+        term = term * z / step
         total = total + term
-        if not np.all(np.isfinite(total)):
-            raise EvaluationOverflowError(
-                "series partial sums left the floating range")
-        if np.all(np.abs(term) < _SERIES_STOP * np.abs(total)):
-            run += 1
-            if run >= _SERIES_STOP_RUN:
-                return total if arr.shape else total[()]
-        else:
-            run = 0
+        mag *= m / step
+        peak = max(peak, mag)
+        if m < 0.5 * step and mag < _SERIES_STOP * peak:
+            return total
     raise ConvergenceError("series did not converge within the term budget")
 
 
 def bessel_i_scaled(nu, z):
-    """Evaluate F_nu(z) = sum_k z^k / (4^k k! Gamma(nu+k+1)).
+    """Evaluate F_nu(z) = I_nu(sqrt z)/(sqrt z / 2)^nu at a number z.
 
-    Equals I_nu(sqrt z)/(sqrt z / 2)^nu; entire in z, 1/Gamma(nu+1) at z=0.
-    Requires nu > -1 and |z| <= 1e4.
+    Entire in z, 1/Gamma(nu+1) at z=0, a float for real z.  A Python complex
+    goes straight into ive, with no numpy array on the way.  Requires
+    nu > -1 and |z| <= 1e4.
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1, got {nu!r}")
-    if np.any(np.abs(z) > SERIES_MAX_ABS):
-        raise DomainError(f"|z| exceeds the series cap {SERIES_MAX_ABS:g}")
-    return _series_f(nu, z)
+    zc = complex(z)
+    mag = abs(zc)
+    if mag > DOMAIN_MAX_ABS:
+        raise DomainError(f"|z| exceeds the domain cap {DOMAIN_MAX_ABS:g}")
+    if mag <= _SERIES_MAX_ABS:
+        val = _series_f(nu, zc)
+    else:
+        w = cmath.sqrt(zc)
+        val = complex(scipy.special.ive(nu, w)) * math.exp(w.real) / (0.5 * w) ** nu
+    return val.real if zc.imag == 0.0 else val
 
 
 def bessel_i_log_derivative(nu, x):
-    """f'/f for f = F_nu at real x > 0, via f'(z) = F_(nu+1)(z)/4.
+    """f'/f for f = F_nu at real x >= 0: F_(nu+1)(x)/(4 F_nu(x)), which is
+    I_(nu+1)(r)/(2 r I_nu(r)) with r = sqrt x.
 
-    Pure series ratio; positive and decreasing on the positive axis.
+    Past the series range I_nu = I_(nu+2) + (2(nu+1)/r) I_(nu+1) turns this
+    into 1/(4(nu+1) + 2r I_(nu+2)/I_(nu+1)): every order stays positive and
+    both terms of the sum are positive.  scipy takes a negative order
+    through the reflection formula, which costs up to 8e-14 at nu = -0.999.
+    Positive and decreasing on the positive axis, 1/(4(nu+1)) at x = 0.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise DomainError("log-derivative needs x >= 0")
-    if np.any(xa > SERIES_MAX_ABS):
-        raise DomainError(f"x exceeds the series cap {SERIES_MAX_ABS:g}")
-    val = _series_f(nu + 1.0, xa) / (4.0 * _series_f(nu, xa))
-    return val if xa.shape else float(val)
+    out = np.empty(xa.shape, dtype=float)
+    near = xa <= _SERIES_MAX_ABS
+    out[near] = _series_f(nu + 1.0, xa[near]) / (4.0 * _series_f(nu, xa[near]))
+    r = np.sqrt(xa[~near])
+    out[~near] = 1.0 / (4.0 * (nu + 1.0) + 2.0 * r * scipy.special.ive(nu + 2.0, r)
+                        / scipy.special.ive(nu + 1.0, r))
+    return out if xa.shape else float(out)
 
 
 def bessel_j_squared_zeros(nu, count):
@@ -131,40 +147,19 @@ class BesselIModel(FunctionModel):
         self.model_id = f"bessel-i(nu={self.nu:g})"
         self.order_rho0 = 0.5
         self.f0 = 1.0 / math.gamma(self.nu + 1.0)
-        self.domain_radius_max = SERIES_MAX_ABS
+        self.domain_radius_max = DOMAIN_MAX_ABS
         self.identity_rhos = (0.55, 0.75, 0.9)
         head = bessel_j_squared_zeros(self.nu, head_count)
         # j_{nu,n}^2 = beta^2 + (1-4nu^2)/4 + O(beta^-2), beta = (n+nu/2-1/4)pi
         self._zs = ZeroSequence(head, 2.0, math.pi ** 2, order_rho0=0.5,
                                 tail_offset=0.5 * self.nu - 0.25,
                                 tail_shift=0.25 * (1.0 - 4.0 * self.nu ** 2))
-        self._gamma_nu1 = math.gamma(self.nu + 1.0)
 
     def zeros(self):
         return self._zs
 
     def value_ratio(self, z):
-        zc = complex(z)
-        if abs(zc) > self.domain_radius_max:
-            raise DomainError(
-                f"|z| exceeds the model domain {self.domain_radius_max:g}")
-        if zc.imag == 0.0:
-            return float(self._gamma_nu1 * _series_f(self.nu, zc.real))
-        # estimated e-folds lost to cancellation in the complex series
-        loss = 2.0 * math.sqrt(abs(zc)) * (1.0 - math.cos(0.5 * cmath.phase(zc)))
-        if loss > _CANCEL_LOSS_MAX:
-            return product_eval(self._zs, zc)
-        return complex(self._gamma_nu1 * _series_f(self.nu, zc))
+        return bessel_i_scaled(self.nu, z) / self.f0
 
     def log_derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0):
-            raise DomainError("log-derivative needs x >= 0")
-        out = np.empty(xa.shape, dtype=float)
-        near = xa <= SERIES_MAX_ABS
-        if np.any(near):
-            out[near] = bessel_i_log_derivative(self.nu, xa[near])
-        if np.any(~near):
-            # beyond the series range the zero sum is cheaper and stable
-            out[~near] = reciprocal_zero_sum(self._zs, xa[~near])
-        return out if xa.shape else float(out)
+        return bessel_i_log_derivative(self.nu, x)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.special
 
 from .airy import AiryPairModel, airy_ai_maclaurin
-from .bessel import BesselIModel
+from .bessel import BesselIModel, _series_f
 from .bound import evaluate_chain, log_ratio_integral, midpoint_rho, optimize_rho
 from .errors import DomainError, G0BoundError
 from .numerics import gamma, integrate_singular, quad_adaptive
@@ -225,12 +225,14 @@ def _logrep_lhs(zs, z: complex) -> complex:
 
 def _adjudication_records(model: BesselIModel, tolerances) -> list:
     """Two candidate closed forms for the axis integrand f'/f differ by a
-    nu/(2x) term; the series route decides which one the function obeys."""
+    nu/(2x) term; the power series F_(nu+1)/(4 F_nu) decides which one the
+    function obeys.  The model's own f'/f comes from scipy's Bessel routines,
+    as the candidates do, so it cannot serve as the second route."""
     tol = _tol("axis_integrand_adjudication", tolerances)
     nu = model.nu
     out = []
     for x in _ADJUDICATION_XS:
-        truth = float(model.log_derivative(x))
+        truth = float(_series_f(nu + 1.0, x) / (4.0 * _series_f(nu, x)))
         rx = math.sqrt(x)
         ratio = scipy.special.iv(nu - 1.0, rx) / (2.0 * rx * scipy.special.iv(nu, rx))
         cands = {

@@ -1,5 +1,8 @@
-"""Power-series Bessel-type model: series evaluation, zeros, Rayleigh sums."""
+"""Modified-Bessel model: F_nu(z) = I_nu(sqrt z)/(sqrt z/2)^nu through scipy's
+ive past the series seam and the power series below it, f'/f on the axis,
+the j_{nu,n}^2 zero table and its Rayleigh sums."""
 
+import cmath
 import math
 
 import numpy as np
@@ -48,9 +51,10 @@ def test_series_rejects_nu_at_most_minus_one():
 
 def test_log_derivative_limit_at_zero():
     # (f'/f)(0) = 1/(4(nu+1)), the full Rayleigh sum
-    for nu in (-0.5, 0.0, 0.5, 2.0):
+    for nu in (-0.999, -0.5, 0.0, 0.5, 2.0, 2.9):
         got = bessel_i_log_derivative(nu, 0.0)
-        assert got == pytest.approx(0.25 / (nu + 1.0), rel=1e-12), nu
+        assert got == pytest.approx(0.25 / (nu + 1.0), rel=1e-15), nu
+        assert BesselIModel(nu).log_derivative(0.0) == got
 
 
 def test_log_derivative_positive_and_decreasing():
@@ -188,3 +192,72 @@ def test_value_ratio_matches_mpmath_besseli(nu, verify_points):
                            * mpmath.gamma(nu + 1))
         got = complex(model.value_ratio(z))
         assert abs(got - want) <= 1e-12 * abs(want), (nu, z)
+
+
+def _mp_value_ratio(mpmath, nu, z):
+    with mpmath.workdps(30):
+        s = mpmath.sqrt(mpmath.mpc(z))
+        return complex(mpmath.besseli(nu, s) / (s / 2) ** nu
+                       * mpmath.gamma(nu + 1))
+
+
+def _mp_log_derivative(mpmath, nu, x):
+    # I_(nu+1)(r) / (2 r I_nu(r)) with r = sqrt x
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(x))
+        return float(mpmath.besseli(nu + 1, r) / (2 * r * mpmath.besseli(nu, r)))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0, 2.9])
+def test_value_ratio_matches_mpmath_out_to_the_domain_cap(nu):
+    # |z| from the series seam to the cap 1e4, |arg z| <= pi/2
+    mpmath = pytest.importorskip("mpmath")
+    model = BesselIModel(nu)
+    for r in np.geomspace(4.5, model.domain_radius_max, 9):
+        for theta in np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9):
+            z = cmath.rect(r, theta)
+            want = _mp_value_ratio(mpmath, nu, z)
+            got = complex(model.value_ratio(z))
+            assert abs(got - want) <= 1e-12 * abs(want), (nu, z)
+
+
+@pytest.mark.parametrize("nu", [-0.999, -0.5, 0.0, 0.5, 2.0, 2.9])
+def test_log_derivative_matches_mpmath_on_the_profile_range(nu):
+    # [1e-10, 1.2e17] is the range of the bound's g profile
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-10, 1.2e17, 81)
+    got = BesselIModel(nu).log_derivative(xs)
+    for x, g in zip(xs, got):
+        want = _mp_log_derivative(mpmath, nu, x)
+        assert g == pytest.approx(want, rel=1e-13, abs=0.0), (nu, x)
+
+
+@pytest.mark.parametrize("nu", [-0.999, 2.9])
+def test_tiny_argument_is_the_limit_at_zero(nu):
+    # ive(nu, w) and (w/2)^nu both underflow here; the series does not, and
+    # the RuntimeWarning filter turns any 0/0 into a failure
+    model = BesselIModel(nu)
+    assert model.value_ratio(1e-300) == 1.0
+    assert bessel_i_scaled(nu, 1e-300) == pytest.approx(1.0 / math.gamma(nu + 1.0),
+                                                        rel=1e-15)
+    assert model.log_derivative(1e-300) == pytest.approx(0.25 / (nu + 1.0),
+                                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [-0.999, -0.5, 0.0, 0.5, 2.0, 2.9])
+def test_series_ive_seam_matches_mpmath(nu):
+    # the moduli on either side of the switch from the series to ive
+    mpmath = pytest.importorskip("mpmath")
+    seam = g0bound.bessel._SERIES_MAX_ABS
+    moduli = [np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)]
+    model = BesselIModel(nu)
+    for mod in moduli:
+        for theta in (0.0, 0.5, -1.0, 1.5):
+            z = cmath.rect(mod, theta) if theta else complex(mod)
+            want = _mp_value_ratio(mpmath, nu, z)
+            got = complex(model.value_ratio(z))
+            assert abs(got - want) <= 1e-14 * abs(want), (nu, z)
+    got = model.log_derivative(np.array(moduli))
+    for x, g in zip(moduli, got):
+        want = _mp_log_derivative(mpmath, nu, x)
+        assert g == pytest.approx(want, rel=1e-14, abs=0.0), (nu, x)

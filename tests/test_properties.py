@@ -9,10 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from g0bound.bessel import bessel_j_squared_zeros  # noqa: E402
+from g0bound.bessel import BesselIModel, bessel_j_squared_zeros  # noqa: E402
+from g0bound.bound import log_ratio_integral  # noqa: E402
 from g0bound.kbessel import k_order_eval, k_order_log_derivative  # noqa: E402
 from g0bound.zeros import (ZeroSequence, phi_vec,  # noqa: E402
-                           reciprocal_power_zero_sum, sup_weighted_phi)
+                           reciprocal_power_zero_sum, sup_weighted_phi,
+                           zero_sum_detail)
 
 _ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
                   max_size=50).map(sorted)
@@ -72,6 +74,31 @@ def test_bessel_zeros_interlace_in_order(nu):
     j1 = np.sqrt(bessel_j_squared_zeros(nu + 1.0, 20))
     assert np.all(j[:20] < j1)
     assert np.all(j1 < j[1:])
+
+
+_BESSEL_NU = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True)
+
+
+@hypothesis.given(nu=_BESSEL_NU,
+                  rho=st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
+                                exclude_max=True))
+def test_bessel_j_bracket_meets_the_zero_sum(nu, rho):
+    # J(rho) = pi/sin(pi rho) sum_n j_{nu,n}^(-2 rho): the certified bracket
+    # [J_hi - width, J_hi] from the f'/f profile meets the zero-sum value
+    # widened by its error estimate and by what that estimate leaves out
+    model = BesselIModel(nu)
+    res = log_ratio_integral(model, rho)
+    s, err = zero_sum_detail(model.zeros(), rho)
+    # sin(pi (1 - rho)), as 1 - rho is exact: pi*rho rounds by ~4e-16,
+    # which near rho = 1 is 1e-11 of sin(pi rho)
+    scale = math.pi / math.sin(math.pi * (1.0 - rho))
+    # zero_sum_detail's err counts neither the zero table's tolerance (each
+    # j_{nu,n} to 1e-13 relative, so 2 rho 1e-13 of S; j_{0.7265625,1} is
+    # 2.4e-14 off) nor the O(n^-2) terms the tail model drops from
+    # j_{nu,n}^2 (S(1) is 1.8e-13 off 1/(4(nu+1)) at nu = 2.9); allow 5e-13
+    slack = 5e-13 * scale * s
+    assert res.value - res.error_estimate <= scale * (s + err) + slack
+    assert scale * (s - err) <= res.value + slack
 
 
 _K_A = st.floats(min_value=math.log(0.1), max_value=math.log(10.0)).map(math.exp)
