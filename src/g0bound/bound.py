@@ -12,15 +12,18 @@ exponent from which it is derived, optimizes over rho, and packages a full
 evaluation of the inequality chain as a BoundReport.
 
 g = sum 1/(x + z_n) does not depend on rho, so each model's g is sampled
-once, on its first J request, at the nodes of 8-point Gauss-Legendre and
-9-point Gauss-Lobatto rules on doubling panels over [eps, X].  g is a
+once, on its first J request, in one log_derivative call on the nodes of
+8-point Gauss-Legendre and 9-point Gauss-Lobatto rules on doubling panels
+over [eps, X] (1,442 abscissae with x = 0).  g is a
 Stieltjes function, so g(x) x^{-rho} is completely monotone for every rho:
 on each panel the Legendre rule underestimates and the Lobatto rule
 overestimates its integral.  For any rho, J is thus bracketed by two dot
 products with weights w_i x_i^{-rho}, closed by the head [0, eps] (g is
 decreasing there) and a closed-form tail beyond X (_counting_tail,
-_k_order_tail).  The bracket holds up to rounding and the evaluation error
-of g itself; the ceiling is built from its upper end J_hi.
+_k_order_tail).  Both ends are moved outward by a rounding allowance of
+samples * eps times the computed sum, so the bracket never has zero width;
+it holds up to the evaluation error of g itself.  The ceiling is built from
+its upper end J_hi.
 
 With |z| = Re z / cos(arg z) the exponent separates:
 
@@ -82,12 +85,10 @@ _RHO_MARGIN = 1e-3
 _RHO_LATTICE = 5e-4
 _BLOCK = 32
 
-# sampling of g: head [0, _EPS], doubling panels up to X = _EPS * 2^90 ~ 1.2e17;
-# log_derivative sees at most _CHUNK abscissae per call
+# sampling of g: head [0, _EPS], doubling panels up to X = _EPS * 2^90 ~ 1.2e17
 _EPS = 1e-10
 _PANELS = 90
 _X = _EPS * 2.0 ** _PANELS
-_CHUNK = 64
 
 _PROFILES: "weakref.WeakKeyDictionary[FunctionModel, _Profile]" = weakref.WeakKeyDictionary()
 _SUP_CACHE: "weakref.WeakKeyDictionary[FunctionModel, dict]" = weakref.WeakKeyDictionary()
@@ -234,15 +235,14 @@ def _k_order_tail(a: float):
 
 
 def _sample(model: FunctionModel, x: np.ndarray) -> np.ndarray:
-    """g at the abscissae x, at most _CHUNK per log_derivative call."""
-    out = np.empty_like(x)
-    for i in range(0, x.size, _CHUNK):
-        try:
-            out[i:i + _CHUNK] = model.log_derivative(x[i:i + _CHUNK])
-        except ArithmeticError as exc:
-            raise EvaluationOverflowError(
-                f"log_derivative of {model.model_id} failed near "
-                f"x = {float(x[i])!r}: {exc}") from exc
+    """g at the abscissae x in one log_derivative call; each model bounds
+    its own temporaries."""
+    try:
+        out = np.asarray(model.log_derivative(x), dtype=float)
+    except ArithmeticError as exc:
+        raise EvaluationOverflowError(
+            f"log_derivative of {model.model_id} failed on x in "
+            f"[{float(x.min())!r}, {float(x.max())!r}]: {exc}") from exc
     bad = np.flatnonzero(~(np.isfinite(out) & (out >= 0.0)))
     if bad.size:
         i = bad[np.argmin(x[bad])]
@@ -262,6 +262,7 @@ class _Profile:
         x = np.concatenate(([0.0], x_lob, x_gl))
         g = _sample(model, x)
         self.samples = int(x.size)
+        self.round_off = self.samples * np.finfo(float).eps
         # g decreases, so on [0, eps] it lies between g(eps) and g(0)
         self.g0, self.g_eps = float(g[0]), float(g[1])
         self.log_x = np.log(x[1:])
@@ -277,13 +278,20 @@ class _Profile:
         self.rhos, self.b = self._exponent_table(model.order_rho0, n_lob)
 
     def bracket(self, rho: float) -> tuple[float, float]:
-        """(J_lo, J_hi) for rho in (rho0, 1)."""
+        """(J_lo, J_hi) for rho in (rho0, 1).
+
+        Each end is widened by self.round_off times the upper sum: the dot
+        products accumulate at most samples * eps of their sum, and an
+        exponent of up to 40 nats passes about 40 eps to each factor x^-rho
+        and X^-rho.
+        """
         body_lo, body_hi = np.exp(-rho * self.log_x) @ self.weights
         head = _EPS ** (1.0 - rho) / (1.0 - rho)
         main, band = self.tail(rho)
         lo = body_lo + self.g_eps * head + max(main - band, 0.0)
         hi = body_hi + self.g0 * head + main + band
-        return float(lo), float(hi)
+        slop = self.round_off * hi
+        return float(lo - slop), float(hi + slop)
 
     def _exponent_table(self, rho0: float, n_lob: int):
         """The candidate rhos of optimize_rho and b(rho) on each of them."""
@@ -302,7 +310,7 @@ class _Profile:
         rho = k * h
         head = _EPS ** (1.0 - rho) / (1.0 - rho)
         main, band = self.tail(rho)
-        j_hi = body + self.g0 * head + main + band
+        j_hi = (body + self.g0 * head + main + band) * (1.0 + self.round_off)
         inside = (rho >= lo) & (rho <= hi)
         rhos = np.concatenate(([lo], rho[inside], [hi]))
         j_hi = np.concatenate(([self.bracket(lo)[1]], j_hi[inside],
@@ -321,10 +329,11 @@ def log_ratio_integral(model: FunctionModel, rho: float) -> QuadratureResult:
     """J(rho) = int_0^inf (f'(x)/f(x)) x^{-rho} dx for rho0 < rho < 1.
 
     `value` is the upper end J_hi of the certified bracket and
-    `error_estimate` its width J_hi - J_lo (rule gap, head gap and tail
-    band), so J lies in [value - error_estimate, value].  `evaluations` is
-    the number of f'/f samples behind the bracket; they are taken once per
-    model, on its first J request, and serve every later rho.
+    `error_estimate` its width J_hi - J_lo (rule gap, head gap, tail band
+    and the rounding allowance, so never 0), so J lies in
+    [value - error_estimate, value].  `evaluations` is the number of f'/f
+    samples behind the bracket; they are taken once per model, on its first
+    J request, and serve every later rho.
     """
     rho = _check_rho(model, rho)
     profile = _profile(model)

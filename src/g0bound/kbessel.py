@@ -11,7 +11,10 @@ which converges geometrically there (Trefethen & Weideman, SIAM Review 56,
 u* = asinh(nu/a), so every sample has modulus at most one, and halve the
 step until two sums agree; the cosine integral K_{i*tau}(a) on the negative
 axis, whose sign changes are the order-zeros, is summed on nodes sized by
-its alias bound instead.  Nothing is cached between calls.  KOrderModel's
+its alias bound instead.  The log-derivative finds the windows of all its
+rows with one vectorised search (_window_rows) and sums the rows in blocks
+of _ROW_BLOCK, so a whole profile costs a handful of array passes and its
+temporaries stay near 1 MB.  Nothing is cached between calls.  KOrderModel's
 zero tail is a low-side estimate (see its docstring).
 """
 
@@ -42,6 +45,9 @@ _WINDOW_GROWTH = 1.25
 _TRAP_START = 32
 _TRAP_CAP = 4096
 _TRAP_CAP_ONE = 65536
+# log-derivative rows per trapezoid sum: each sum halves until its slowest
+# row settles, and 256 rows of up to 129 nodes keep its temporaries near 1 MB
+_ROW_BLOCK = 256
 
 _SCAN_STEP = 0.05
 _FLOOR_ABS = 1e-13
@@ -107,6 +113,27 @@ def _window(w_re: float, nu_re: float):
         raise ConvergenceError("integration window search did not close")
 
     return one_side(-1.0), one_side(1.0)
+
+
+def _window_rows(w_re: np.ndarray, nu_re: np.ndarray):
+    """_window for arrays of rows: the same geometric search from the same
+    start, each step growing h by _WINDOW_GROWTH on the rows whose side is
+    still open.  Returns the arrays (vm, vp)."""
+    h0 = np.arccosh(1.0 + _WINDOW_DROP / np.maximum(w_re + nu_re, 1e-2))
+    sides = []
+    for sign in (-1.0, 1.0):
+        h = h0.copy()
+        todo = np.arange(h.size)
+        while todo.size:
+            ht = h[todo]
+            if ht.max() >= _OVERFLOW_EXPONENT:
+                raise ConvergenceError("integration window search did not close")
+            drop = (w_re[todo] * (2.0 * np.sinh(0.5 * ht) ** 2)
+                    + sign * nu_re[todo] * (np.sinh(ht) - ht))
+            todo = todo[drop < _WINDOW_DROP]
+            h[todo] *= _WINDOW_GROWTH
+        sides.append(sign * h)
+    return sides[0], sides[1]
 
 
 def _trapezoid(f, lo, hi, rel_tol: float, finish=lambda m: m,
@@ -222,19 +249,24 @@ def _logderiv_small(a: float, x: np.ndarray) -> np.ndarray:
 
 def _logderiv_grid(a: float, x: np.ndarray) -> np.ndarray:
     # d/dx log K = (u* + <v>) / (2 nu) with <v> the centred first moment;
-    # one trapezoid row per x, each on its own window
+    # one trapezoid row per x, each on its own window, _ROW_BLOCK rows per sum
     nu = np.sqrt(x)
     w = np.hypot(a, nu)          # a*cosh(u*) for the real branch
     ustar = np.arcsinh(nu / a)
-    vm, vp = np.array([_window(wi, ni) for wi, ni in zip(w, nu)]).T
+    vm, vp = _window_rows(w, nu)
+    out = np.empty_like(x)
+    for start in range(0, x.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        wb, nb, ub = w[rows], nu[rows], ustar[rows]
 
-    def g(v):
-        with np.errstate(under="ignore"):
-            e = np.exp(-w[:, None] * _cosh_m1(v) - nu[:, None] * _sinh_mv(v))
-        return np.stack([e, v * e])
+        def g(v):
+            with np.errstate(under="ignore"):
+                e = np.exp(-wb[:, None] * _cosh_m1(v) - nb[:, None] * _sinh_mv(v))
+            return np.stack([e, v * e])
 
-    return _trapezoid(g, vm, vp, rel_tol=1e-13,
-                      finish=lambda m: (ustar + m[1] / m[0]) / (2.0 * nu))
+        out[rows] = _trapezoid(g, vm[rows], vp[rows], rel_tol=1e-13,
+                               finish=lambda m: (ub + m[1] / m[0]) / (2.0 * nb))
+    return out
 
 
 def k_order_log_derivative(a: float, x):
@@ -242,9 +274,10 @@ def k_order_log_derivative(a: float, x):
 
     Equals (1/(2 sqrt x)) d_nu log K_nu(a) at nu = sqrt x: positive and
     decreasing from the full reciprocal zero sum, returned at x = 0.  Above
-    x = 1e-4 it is the centred first moment, one trapezoid per x on its own
-    window; below, an even-moment series whose truncation grows as a
-    shrinks, so a >= 0.1 is required (DomainError below).
+    x = 1e-4 it is the centred first moment, one trapezoid row per x on its
+    own window, 256 rows per sum; below, an even-moment series whose
+    truncation grows as a shrinks, so a >= 0.1 is required (DomainError
+    below).
     """
     a = _require_a(a)
     if a < _LOGDERIV_A_MIN:

@@ -12,7 +12,8 @@ already reach ~1e-8 relative accuracy for the quantities above.
 The reciprocal sums sum a head densely only up to the zeros near |w|: the
 zeros past 4|w| enter through a table of suffix power sums at doubling
 breakpoints (ZeroSequence.suffix_power_table), and a head below |w|/4 through
-its moments (ZeroSequence.head_moments).
+its moments (ZeroSequence.head_moments).  phi takes its head sum from the same
+moments wherever t z_N <= 1.
 """
 
 from __future__ import annotations
@@ -53,8 +54,15 @@ _EXPANSION_RATIO = 4.0
 _SERIES_TERMS = 32
 _TABLE_MAX_POWER = 4
 _TABLE_POWERS = _SERIES_TERMS + _TABLE_MAX_POWER - 1
+# k! for k < _SERIES_TERMS: phi_vec's small-t series in the head moments
+_FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS)],
+                       dtype=float)
 # the tail model's own expansions run at a ratio of at most 1/2
 _TAIL_SERIES_TERMS = 120
+# _tail_recip1 extends the head at least to this zero index: the
+# Euler-Maclaurin sums past it then stay at round-off for a head of any
+# length (a 32-zero head of n^2 extended only to 2 max|w| is 1.8e-14 off)
+_TAIL_EXTENSION_REACH = 256
 # sup_weighted_phi: stored phi samples per sequence, points per refinement
 _SUP_GRID_POINTS = 512
 _SUP_REFINE_POINTS = 33
@@ -78,9 +86,9 @@ class ZeroSequence:
     The zeros and tail model are immutable after construction.  The only
     mutations are value-idempotent memos filled on first use: the tail power
     sums per rho, the suffix power-sum table and the scaled head moments
-    behind the reciprocal sums (suffix_power_table, head_moments), and the
-    phi samples behind sup_weighted_phi (phi_samples).  None is built at
-    construction.
+    behind the reciprocal sums and small-t phi (suffix_power_table,
+    head_moments), and the phi samples behind sup_weighted_phi
+    (phi_samples).  None is built at construction.
     """
 
     def __init__(self, head: Sequence[float], tail_exponent: float,
@@ -235,6 +243,11 @@ class ZeroSequence:
         scheme (series around small |w|, closed-form integral for large |w|,
         discrete head extension in between); power >= 2 uses the same small-|w|
         series alone and raises DomainError past half the first model zero.
+
+        The extension (0.5 < |w|/z_{N+1} < 2, shift aside) adds model zeros
+        only until the first one past them is at least 2 max|w|, and at least
+        up to z_256; they are summed in the blocks of _head_sums, and the
+        series takes the rest at a ratio of at most 1/2.
         """
         if not self.has_tail:
             if np.ndim(w) == 0:
@@ -275,13 +288,14 @@ class ZeroSequence:
         if np.any(hi):
             out[hi] = self._recip1_large(w[hi], A, base)
         if np.any(mid):
-            # extend the head with model zeros until the small-|w| series applies
-            ext = 4 * max(n0, 8)
-            ns = np.arange(n0 + 1, n0 + ext + 1, dtype=float)
-            zext = c * (ns + delta) ** p
+            # extend the head with model zeros until the first one past the
+            # extension is at least 2 max|w|, where the small-|w| series applies
             wm = w[mid]
-            terms = np.add.outer(wm, zext)
-            head_ext = np.divide(1.0, terms, out=terms).sum(axis=1)
+            reach = (2.0 * float(np.max(aw[mid])) / c) ** (1.0 / p) - delta
+            ext = max(_TAIL_EXTENSION_REACH, math.ceil(reach)) - n0
+            zext = c * (np.arange(n0 + 1, n0 + ext + 1, dtype=float) + delta) ** p
+            head_ext = _head_sums(zext, wm, np.full(wm.size, ext),
+                                  lambda x, z: 1.0 / (x + z))
             out[mid] = head_ext + self._recip_series_small(wm, n0 + ext)
         return out[0] if scalar else out
 
@@ -451,10 +465,16 @@ def product_eval(zs: ZeroSequence, z: complex) -> complex:
 def phi_vec(zs: ZeroSequence, t):
     """phi(t) = sum_n exp(-z_n t) for t > 0 (scalar or ndarray of any shape).
 
-    Head terms whose exponent z_n t exceeds the leading one, z_1 t, by more
-    than 46 are dropped; the window k(t) = #{n : z_n <= z_1 + 46/t} is found
-    for every t with one searchsorted.  The t are then taken in order of
-    k(t), in blocks of at most 2^16 terms, and each block is summed as one
+    Where t z_N <= 1 the head sum is the Taylor series
+    sum_k (-t z_N)^k / k! mu_k in the head moments mu_k = sum_n (z_n/z_N)^k
+    (ZeroSequence.head_moments), k < 32: the first omitted term is below
+    N/32!, and the terms' moduli add up to sum_n e^{t z_n} <= e N against a
+    sum of at least N/e, so cancellation costs at most a factor e^2.
+    Elsewhere head terms whose exponent z_n t exceeds the leading
+    one, z_1 t, by more than 46 are dropped; the window
+    k(t) = #{n : z_n <= z_1 + 46/t} is found for every t with one
+    searchsorted.  The t are then taken in order of k(t), in blocks of at
+    most 2^16 terms, and each block is summed as one
     exp(-outer(t, z_head[:k_max])) with every row's terms past its own window
     masked out.  The tail sum is one vectorized call over all t.  A scalar t
     gives a float; raises DomainError unless every t is finite and positive.
@@ -464,9 +484,15 @@ def phi_vec(zs: ZeroSequence, t):
         raise DomainError("phi requires t > 0")
     flat = t.reshape(-1)
     zh = zs.head
+    s = flat * zh[-1]
+    small = s <= 1.0
     k = np.searchsorted(zh, zh[0] + _PHI_EXPONENT_WINDOW / flat, side="right")
+    k[small] = 0
     with np.errstate(under="ignore"):
         out = _head_sums(zh, flat, k, lambda ts, z: np.exp(-ts * z))
+    if small.any():
+        out[small] = np.vander(-s[small], _SERIES_TERMS, increasing=True) \
+            @ (zs.head_moments() / _FACTORIALS)
     if zs.has_tail:
         out += zs.tail_exp_sum(flat)
     return out.reshape(t.shape) if t.ndim else float(out[0])

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import g0bound.kbessel
+from g0bound import bound
 from g0bound.errors import (ConvergenceError, DomainError,
                             EvaluationOverflowError, InsufficientZerosError)
-from g0bound.kbessel import (KOrderModel, _window, k_order_eval,
+from g0bound.kbessel import (KOrderModel, _window, _window_rows, k_order_eval,
                              k_order_log_derivative, k_order_zeros)
+from g0bound.numerics import doubling_panel_rules
 
 # 30-digit references for K_sqrt(z)(a)
 K_REFERENCE = {
@@ -206,6 +208,46 @@ def test_axis_moments_match_mpmath(a):
         want = [float(moment(k) / m0) for k in (2, 4, 6)]
     got = g0bound.kbessel._axis_moments(a)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_log_derivative_on_profile_nodes_matches_mpmath(a):
+    # every 25th node of the bound's f'/f profile above the 1e-4 seam, and
+    # its last one (1.2e17): (1/(2 nu)) d/dnu log K_nu(a) at nu = sqrt x
+    mpmath = pytest.importorskip("mpmath")
+    x_gl, _, x_lob, _ = doubling_panel_rules(bound._EPS, bound._PANELS)
+    x = np.sort(np.concatenate((x_lob, x_gl)))
+    x = x[x > 1e-4]
+    x = np.append(x[::25], x[-1])
+    got = k_order_log_derivative(a, x)
+    with mpmath.workdps(30):
+        want = []
+        for xi in x:
+            nu = mpmath.sqrt(mpmath.mpf(xi))
+            want.append(float(mpmath.diff(
+                lambda v: mpmath.log(mpmath.besselk(v, a)), nu) / (2 * nu)))
+    assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-13
+
+
+def test_window_rows_match_scalar_window():
+    # the row search of the log-derivative and the scalar search of values
+    # and moments take the same number of growth steps from the same start;
+    # numpy's vectorised arccosh is up to 1 ulp off math.acosh, and the
+    # repeated factor 1.25 carries that to at most 3 ulp (38 of these 1,000
+    # pairs exceed 1 ulp), far below the 25% of one step
+    rng = np.random.default_rng(20)
+    nu = np.exp(rng.uniform(math.log(1e-3), math.log(4e8), 1000))
+    a = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 1000))
+    w = np.hypot(a, nu)
+    vm, vp = _window_rows(w, nu)
+    want_m, want_p = np.array([_window(wi, ni) for wi, ni in zip(w, nu)]).T
+    assert np.all(np.abs(vm - want_m) <= 4 * np.spacing(np.abs(want_m)))
+    assert np.all(np.abs(vp - want_p) <= 4 * np.spacing(want_p))
+
+
+def test_window_rows_that_never_close_raise():
+    with pytest.raises(ConvergenceError):
+        _window_rows(np.array([1.0, 0.0]), np.array([0.5, 1e-12]))
 
 
 def test_log_derivative_vectorized():

@@ -101,6 +101,35 @@ def test_bessel_j_bracket_meets_the_zero_sum(nu, rho):
     assert scale * (s - err) <= res.value + slack
 
 
+@hypothesis.given(rho=st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
+                                exclude_max=True))
+def test_toy_j_bracket_contains_zeta(toy, rho):
+    # zeros n^2: J(rho) = pi/sin(pi rho) zeta(2 rho), inside the bracket
+    # [J_hi - width, J_hi] with no allowance beyond its width
+    mpmath = pytest.importorskip("mpmath")
+    res = log_ratio_integral(toy, rho)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+        want = float(mpmath.pi / mpmath.sin(mpmath.pi * (1 - r))
+                     * mpmath.zeta(2 * r))
+    assert res.value - res.error_estimate <= want <= res.value
+
+
+@hypothesis.given(rho=st.floats(min_value=0.751, max_value=0.999,
+                                exclude_min=True, exclude_max=True))
+def test_airy_j_bracket_meets_the_zero_sum(airy, rho):
+    # J(rho) = pi/sin(pi rho) sum_n t_n^(-2 rho): the bracket meets the
+    # zero-sum value widened by its error estimate and by the zero table's
+    # stated accuracy, which that estimate leaves out (airy_squared_zeros
+    # is good to about 5e-12 relative, so S to rho 5e-12 of itself)
+    res = log_ratio_integral(airy, rho)
+    s, err = zero_sum_detail(airy.zeros(), rho)
+    scale = math.pi / math.sin(math.pi * (1.0 - rho))
+    slack = 5e-12 * scale * s
+    assert res.value - res.error_estimate <= scale * (s + err) + slack
+    assert scale * (s - err) <= res.value + slack
+
+
 _K_A = st.floats(min_value=math.log(0.1), max_value=math.log(10.0)).map(math.exp)
 
 

@@ -119,6 +119,22 @@ def test_reciprocal_sums_against_closed_form():
         assert reciprocal_zero_sum(zs, w) == pytest.approx(want, rel=1e-9), w
 
 
+@pytest.mark.parametrize("head", [1, 8, 32, 50, 10_000])
+def test_reciprocal_sum_tail_extension_matches_closed_form(head):
+    # 0.5 < w / z_{N+1} < 2: the head is extended by model zeros to at least
+    # 2 max w and to z_256, and the series takes the rest
+    mpmath = pytest.importorskip("mpmath")
+    zs = toy_sequence(head=head)
+    w = np.geomspace(0.51, 1.99, 9) * (head + 1.0) ** 2
+    with mpmath.workdps(30):
+        want = np.array([float(
+            mpmath.pi * mpmath.coth(mpmath.pi * mpmath.sqrt(v))
+            / (2 * mpmath.sqrt(v)) - 1 / (2 * v))
+            for v in map(mpmath.mpf, w.tolist())])
+    got = reciprocal_zero_sum(zs, w)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
 def test_reciprocal_power_sum_complex():
     zs = toy_sequence(head=50)
     n = np.arange(1, 500_001, dtype=float)
@@ -198,6 +214,43 @@ def test_phi_vec_shape_contract():
     for bad in (0.0, -1.0, np.inf, np.nan, [1.0, 0.0]):
         with pytest.raises(DomainError):
             phi_vec(zs, bad)
+
+
+def test_phi_samples_toy_match_jacobi_and_mpmath():
+    # phi(t) = sum_n e^{-n^2 t} on all 512 sup-grid nodes, 181 of them with
+    # t z_N <= 1 (the head-moment series): below t = 1 through Jacobi's
+    # theta_3(t) = sqrt(pi/t) (1 + 2 sum_k e^{-pi^2 k^2 / t}), above it as
+    # a direct 30-digit sum
+    mpmath = pytest.importorskip("mpmath")
+    zs = toy_sequence()
+    ts, phis = zs.phi_samples()
+    want = []
+    with mpmath.workdps(30):
+        for t in map(mpmath.mpf, ts.tolist()):
+            if t < 1:
+                theta = mpmath.sqrt(mpmath.pi / t) * (1 + 2 * mpmath.nsum(
+                    lambda k: mpmath.exp(-mpmath.pi ** 2 * k ** 2 / t),
+                    [1, mpmath.inf]))
+                want.append(float((theta - 1) / 2))
+            else:
+                want.append(float(mpmath.nsum(lambda k: mpmath.exp(-k * k * t),
+                                              [1, mpmath.inf])))
+    want = np.array(want)
+    live = want > 0.0
+    assert np.count_nonzero(ts * zs.head[-1] <= 1.0) == 181
+    assert np.max(np.abs(phis[live] / want[live] - 1.0)) <= 1e-14
+
+
+def test_phi_vec_head_only_matches_dense_sum():
+    # a head-only sequence has no tail term: the head-moment series (t z_N
+    # <= 1) and the windowed exp blocks against every term, summed exactly
+    zs = ZeroSequence(np.arange(1.0, 301.0) ** 1.5, 2.0, None)
+    t = np.geomspace(1e-6 / zs.head[-1], 1e3 / zs.head[0], 256)
+    want = np.array([math.fsum(np.exp(-ti * zs.head)) for ti in t])
+    got = phi_vec(zs, t)
+    live = want > 0.0
+    assert np.any(t * zs.head[-1] <= 1.0)
+    assert np.max(np.abs(got[live] / want[live] - 1.0)) <= 1e-14
 
 
 def test_phi_vec_memory_stays_blockwise():
