@@ -169,17 +169,14 @@ def _counting_tail(zs: ZeroSequence):
     """int_X^inf g(x) x^{-rho} dx from the zero counting function N(t).
 
     Integration by parts gives g(x) = int_0^inf N(t) (x + t)^-2 dt.  With
-    N(t) = A t^rho0 + D(t) and |D| <= B this is A (pi rho0 / sin(pi rho0))
-    x^(rho0 - 1) + d(x) with |d(x)| <= B / x, so the tail is
-    A pi rho0 / sin(pi rho0) X^(rho0 - rho) / (rho - rho0) within
-    B X^-rho / rho.  For the tail model z_n = c (n + delta)^p + s,
-    A = c^-rho0 and B bounds the deviation on every head interval and under
-    the tail model.  A head-only sequence of N zeros up to z_N has
+    N(t) = A t^rho0 + D(t) and |D| <= B (ZeroSequence.counting_bound) this
+    is A (pi rho0 / sin(pi rho0)) x^(rho0 - 1) + d(x) with |d(x)| <= B / x,
+    so the tail is A pi rho0 / sin(pi rho0) X^(rho0 - rho) / (rho - rho0)
+    within B X^-rho / rho.  A head-only sequence of N zeros up to z_N has
     N / (x + z_N) <= g(x) <= N / x instead.  Returns rho -> (main, band).
     """
-    head = zs.head
     if not zs.has_tail:
-        n, z_top = float(zs.head_count), float(head[-1])
+        n, z_top = float(zs.head_count), float(zs.head[-1])
 
         def head_only(rho):
             upper = n * _X ** -rho / rho
@@ -189,19 +186,7 @@ def _counting_tail(zs: ZeroSequence):
         return head_only
 
     rho0 = zs.order_rho0
-    amp = zs.tail_coefficient ** -rho0
-    z_next = float(zs.model_zero(zs.head_count + 1))
-    s, delta = zs.tail_shift, zs.tail_offset
-    # N(t) = k on [z_k, z_{k+1}), where A t^rho0 runs between its end values
-    k = np.arange(zs.head_count + 1, dtype=float)
-    left = amp * np.concatenate(([0.0], head)) ** rho0
-    right = amp * np.append(head, z_next) ** rho0
-    dev = max(float(np.max(np.abs(k - left))), float(np.max(np.abs(k - right))))
-    # past z_{N+1}: N(t) = floor(((t - s)/c)^rho0 - delta) less the head
-    # zeros above t; (t - s)^rho0 differs from t^rho0 by the mean-value term
-    shift_dev = amp * abs(s) * rho0 * (z_next - max(s, 0.0)) ** (rho0 - 1.0)
-    dev = max(dev, max(abs(delta), abs(delta + 1.0)) + shift_dev
-              + int(np.count_nonzero(head > z_next)))
+    amp, dev = zs.counting_bound()
     coef = amp * math.pi * rho0 / math.sin(math.pi * rho0)
 
     def counted(rho):

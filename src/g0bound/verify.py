@@ -10,6 +10,13 @@ inequality fuzzed over seeded random points), and complete-monotonicity
 consequences (derivative domination, negative-power monotonicity, convexity
 of the squared modulus along vertical lines).
 
+phi(t) = sum e^{-z_n t} does not depend on the transform, so the identity
+suite samples it once per model, on one composite Legendre rule over
+[2^-133, T], and takes every Mellin, Laplace and log-representation
+transform as a dot product with its kernel.  The head [0, 2^-133], where phi
+grows like t^-rho0, is added in closed form from the zero counting function,
+so every rho in (rho0, 1) works, also next to rho0.
+
 Models whose zero data is non-authoritative (short best-effort heads) get a
 degraded identity suite: quadrature self-consistency of J plus the log
 representation restricted to the positive axis, neither of which leans on
@@ -19,6 +26,7 @@ deterministic: sorted by (check_name, model_id, serialized inputs).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,8 +38,10 @@ import scipy.special
 from .airy import AiryPairModel, airy_ai_maclaurin
 from .bessel import BesselIModel, _series_f
 from .bound import evaluate_chain, log_ratio_integral, midpoint_rho, optimize_rho
-from .errors import DomainError, G0BoundError
-from .numerics import gamma, integrate_singular, quad_adaptive
+from .errors import ConvergenceError, DomainError, G0BoundError
+from .numerics import doubling_panel_rules, gamma, quad_adaptive
+# unused here; perfbench/tracing.py patches verify.integrate_singular by name
+from .numerics import integrate_singular  # noqa: F401
 from .zeros import (FunctionModel, phi_vec, reciprocal_power_zero_sum,
                     zero_sum)
 
@@ -84,6 +94,12 @@ _JENSEN_XS = (0.0, 1.0)
 _JENSEN_YS = (-2.0, -0.5, 0.5, 2.0)
 _JENSEN_H = 1e-3
 _FUZZ_POINTS = 10_000
+# the phi transforms: doubling panels from lo = 2^-133 up to at least
+# 64/z_1, and the largest share of a transform a closed-form head's band
+# may take
+_PHI_LO = 2.0 ** -133
+_PHI_REACH = 64.0
+_HEAD_BAND_MAX = 1e-12
 
 
 def format_complex(z) -> str:
@@ -116,6 +132,11 @@ class VerificationRecord:
     passed: bool
 
     def sort_key(self):
+        return self._sort_key
+
+    @functools.cached_property
+    def _sort_key(self):
+        # serialized once per record; not a dataclass field
         return (self.check_name, self.model_id,
                 json.dumps(self.inputs, sort_keys=True))
 
@@ -196,30 +217,69 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _phi_transform(zs, weight, p: float):
-    # int_0^inf weight(t) phi(t) t^(-p) dt with the t^(-rho0) blow-up of phi
-    # split off, so the substituted head integrand stays bounded
-    rho0 = zs.order_rho0
+class _PhiRule:
+    """phi(t) = sum e^{-z_n t} sampled once, and the closed-form head that
+    every transform int_0^inf k(t) phi(t) dt of the identity suite adds.
 
-    def g(t):
-        return weight(t) * phi_vec(zs, t) * t ** rho0
+    The body [lo, T] is the 8-point Legendre rule on the doubling panels of
+    numerics.doubling_panel_rules, lo = 2^-133 and T >= 64/z_1, past which
+    phi <= N e^-64; a transform's body is w_i phi(t_i) dotted with its kernel
+    at the nodes.  The head [0, lo] comes from the counting function: with
+    N(t) = A t^rho0 + D(t), |D| <= B (ZeroSequence.counting_bound),
+    phi(t) = t int_0^inf N(s) e^{-st} ds = A Gamma(1 + rho0) t^-rho0 + E(t)
+    with |E| <= B.  A head-only sequence of N zeros has
+    N - t sum z_n <= phi(t) <= N instead.
+    """
 
-    return integrate_singular(g, p + rho0).value
+    def __init__(self, zs):
+        panels = math.ceil(math.log2(_PHI_REACH / (float(zs.head[0]) * _PHI_LO)))
+        t, w, _, _ = doubling_panel_rules(_PHI_LO, panels)
+        self.t, self.log_t = t, np.log(t)
+        self.w_phi = w * phi_vec(zs, t)
+        # |phi(t) - lead t^-power| <= rest t^rest_power on [0, lo]
+        if zs.has_tail:
+            amp, dev = zs.counting_bound()
+            self.lead, self.power = amp * gamma(1.0 + zs.order_rho0), zs.order_rho0
+            self.rest, self.rest_power = dev, 0.0
+        else:
+            self.lead, self.power = float(zs.head_count), 0.0
+            self.rest, self.rest_power = float(np.sum(zs.head)), 1.0
+
+    def head(self, p: float) -> tuple[float, float]:
+        """(main, band): int_0^lo t^-p phi(t) dt for p < 1 - rho0."""
+        q, r = 1.0 - p - self.power, 1.0 - p + self.rest_power
+        return (self.lead * _PHI_LO ** q / q, self.rest * _PHI_LO ** r / r)
 
 
-def _mellin_lhs(zs, rho: float) -> float:
+def _with_head(check: str, at: str, body, main, band):
+    total = body + main
+    if band > _HEAD_BAND_MAX * abs(total):
+        raise ConvergenceError(
+            f"{check} at {at}: the closed-form head's band {band:.3g} exceeds "
+            f"{_HEAD_BAND_MAX:g} of the transform {abs(total):.3g}")
+    return total
+
+
+def _mellin_lhs(rule: _PhiRule, rho: float) -> float:
     # int_0^inf phi(t) t^(rho-1) dt
-    return float(_phi_transform(zs, lambda t: 1.0, 1.0 - rho))
+    body = float(np.exp((rho - 1.0) * rule.log_t) @ rule.w_phi)
+    return _with_head("mellin_transform", f"rho = {rho!r}", body,
+                      *rule.head(1.0 - rho))
 
 
-def _laplace_lhs(zs, x: float) -> float:
-    # int_0^inf e^{-xt} phi(t) dt
-    return float(_phi_transform(zs, lambda t: np.exp(-x * t), 0.0))
+def _laplace_lhs(rule: _PhiRule, x: float) -> float:
+    # int_0^inf e^{-xt} phi(t) dt; on the head e^{-xt} = 1 within x lo
+    body = float(np.exp(-x * rule.t) @ rule.w_phi)
+    return _with_head("laplace_transform", f"x = {x!r}", body, *rule.head(0.0))
 
 
-def _logrep_lhs(zs, z: complex) -> complex:
-    # exp int_0^inf (1 - e^{-zt}) phi(t) dt/t
-    integral = _phi_transform(zs, lambda t: -np.expm1(-z * t) / t, 0.0)
+def _logrep_lhs(rule: _PhiRule, z: complex) -> complex:
+    # exp int_0^inf (1 - e^{-zt}) phi(t) dt/t; on the head the kernel is z
+    # within |z|^2 lo / 2
+    body = complex(-np.expm1(-z * rule.t) / rule.t @ rule.w_phi)
+    main, band = rule.head(0.0)
+    integral = _with_head("log_representation", f"z = {format_complex(z)}",
+                          body, z * main, abs(z) * band)
     return complex(np.exp(integral))
 
 
@@ -274,7 +334,10 @@ def run_identity_suite(model: FunctionModel, rho_list=None,
     For models with authoritative zeros: Mellin and Laplace transforms of
     phi, the J(rho) zero-sum identity, and the exponential log
     representation at three complex points — all two-route checks at 1e-6
-    relative.  For non-authoritative zero data the suite degrades to J
+    relative.  The transforms share one phi_vec call on the nodes of one
+    rule (_PhiRule), each adding its head [0, 2^-133] in closed form; a head
+    whose error band exceeds 1e-12 of its transform raises
+    ConvergenceError.  For non-authoritative zero data the suite degrades to J
     quadrature self-consistency plus the axis-restricted log representation.
     Per-family extras: the Bessel adapter adjudicates between two candidate
     closed forms of its axis integrand, the Airy pair cross-checks its
@@ -291,11 +354,12 @@ def run_identity_suite(model: FunctionModel, rho_list=None,
 
     if model.zeros_authoritative:
         zs = model.zeros()
+        rule = _PhiRule(zs)
         for rho in rhos:
             s = zero_sum(zs, rho)
             records.append(_two_sided(
                 "mellin_transform", mid, {"rho": rho},
-                _mellin_lhs(zs, rho), gamma(rho) * s,
+                _mellin_lhs(rule, rho), gamma(rho) * s,
                 _tol("mellin_transform", tolerances)))
             j = float(log_ratio_integral(model, rho).value)
             records.append(_two_sided(
@@ -305,13 +369,13 @@ def run_identity_suite(model: FunctionModel, rho_list=None,
         for x in _LAPLACE_XS:
             records.append(_two_sided(
                 "laplace_transform", mid, {"x": x},
-                _laplace_lhs(zs, x),
+                _laplace_lhs(rule, x),
                 float(model.log_derivative(x)),
                 _tol("laplace_transform", tolerances)))
         for z in _LOGREP_ZS:
             records.append(_two_sided(
                 "log_representation", mid, {"z": format_complex(z)},
-                _logrep_lhs(zs, z),
+                _logrep_lhs(rule, z),
                 complex(model.value_ratio(z)),
                 _tol("log_representation", tolerances)))
     else:
@@ -357,9 +421,10 @@ def _resolve_rho(model, z, token):
     return rho, "fixed"
 
 
-def _fuzz_record(model_id, seed, tolerances) -> VerificationRecord:
-    """|1 - e^-z| <= (1 - e^-Re z)/cos(arg z) over seeded points in the
-    open right half-plane."""
+@functools.lru_cache(maxsize=16)
+def _fuzz_scan(seed: int) -> tuple[float, float, float]:
+    """(lhs, rhs, gap) at the worst of the seeded points; the scan has no
+    model input, so a pass over the fleet runs it once per seed."""
     rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), _FUZZ_POINTS))
     theta = rng.uniform(-0.49 * math.pi, 0.49 * math.pi, _FUZZ_POINTS)
@@ -368,10 +433,16 @@ def _fuzz_record(model_id, seed, tolerances) -> VerificationRecord:
     rhs = (-np.expm1(-z.real)) / np.cos(theta)
     gaps = (lhs - rhs) / np.maximum(rhs, _TINY)
     k = int(np.argmax(gaps))
+    return float(lhs[k]), float(rhs[k]), float(gaps[k])
+
+
+def _fuzz_record(model_id, seed, tolerances) -> VerificationRecord:
+    """|1 - e^-z| <= (1 - e^-Re z)/cos(arg z) over seeded points in the
+    open right half-plane."""
+    seed = int(seed)
     return _one_sided(
         "elementary_exp_inequality", model_id,
-        {"points": _FUZZ_POINTS, "seed": int(seed)},
-        float(lhs[k]), float(rhs[k]), float(gaps[k]),
+        {"points": _FUZZ_POINTS, "seed": seed}, *_fuzz_scan(seed),
         _tol("elementary_exp_inequality", tolerances))
 
 

@@ -176,6 +176,33 @@ class ZeroSequence:
         self._power_memo[rho] = result
         return result
 
+    def counting_bound(self) -> tuple[float, float]:
+        """(A, B) with N(t) = A t^rho0 + D(t) and |D(t)| <= B for every
+        t >= 0, where N(t) counts the zeros up to t.
+
+        For the tail model z_n = c (n + delta)^p + s, A = c^-rho0 and B bounds
+        the deviation on every head interval and under the tail model.  A
+        head-only sequence has no such constants (N(t) stops at N).
+        """
+        if not self.has_tail:
+            raise DomainError("head-only sequence has no counting bound")
+        head = self.head
+        rho0 = self.order_rho0
+        amp = self.tail_coefficient ** -rho0
+        z_next = float(self.model_zero(self.head_count + 1))
+        s, delta = self.tail_shift, self.tail_offset
+        # N(t) = k on [z_k, z_{k+1}), where A t^rho0 runs between its end values
+        k = np.arange(self.head_count + 1, dtype=float)
+        left = amp * np.concatenate(([0.0], head)) ** rho0
+        right = amp * np.append(head, z_next) ** rho0
+        dev = max(float(np.max(np.abs(k - left))), float(np.max(np.abs(k - right))))
+        # past z_{N+1}: N(t) = floor(((t - s)/c)^rho0 - delta) less the head
+        # zeros above t; (t - s)^rho0 differs from t^rho0 by the mean-value term
+        shift_dev = amp * abs(s) * rho0 * (z_next - max(s, 0.0)) ** (rho0 - 1.0)
+        dev = max(dev, max(abs(delta), abs(delta + 1.0)) + shift_dev
+                  + int(np.count_nonzero(head > z_next)))
+        return amp, dev
+
     def _tail_base(self) -> float:
         """c (N + 1 + offset)^p: the first model zero past the head, shift
         not included."""

@@ -134,15 +134,17 @@ def test_identity_exit_codes(capsys):
     assert any(line.startswith("FAIL laplace_transform")
                for line in out.splitlines())
 
-    # valid orders next to rho0 = 1/2: 0.52 passes, 0.501 is a numeric
-    # failure (the Mellin head substitution underflows), not a usage error
-    code, _, _ = run_cli(["identity", "--model", "toy-square",
-                          "--rho", "0.52"], capsys)
-    assert code == 0
-    code, _, err = run_cli(["identity", "--model", "toy-square",
+    # orders next to rho0 = 1/2 pass, down to 0.501
+    code, out, _ = run_cli(["identity", "--model", "toy-square",
                             "--rho", "0.501"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+
+    # a numeric failure exits 1: J(rho) diverges at rho = rho0
+    code, _, err = run_cli(["bound", "--model", "toy-square", "--z", "1",
+                            "--rho", "0.5"], capsys)
     assert code == 1
-    assert "underflows" in err
+    assert "diverges" in err
 
 
 def test_verify_jsonl_stream(capsys):

@@ -12,6 +12,7 @@ st = hypothesis.strategies
 from g0bound.bessel import BesselIModel, bessel_j_squared_zeros  # noqa: E402
 from g0bound.bound import log_ratio_integral  # noqa: E402
 from g0bound.kbessel import k_order_eval, k_order_log_derivative  # noqa: E402
+from g0bound.verify import run_identity_suite  # noqa: E402
 from g0bound.zeros import (ZeroSequence, phi_vec,  # noqa: E402
                            reciprocal_power_zero_sum, sup_weighted_phi,
                            zero_sum_detail)
@@ -113,6 +114,20 @@ def test_toy_j_bracket_contains_zeta(toy, rho):
         want = float(mpmath.pi / mpmath.sin(mpmath.pi * (1 - r))
                      * mpmath.zeta(2 * r))
     assert res.value - res.error_estimate <= want <= res.value
+
+
+@hypothesis.given(rho=st.floats(min_value=0.5 + 1e-6, max_value=0.999,
+                                exclude_min=True, exclude_max=True))
+def test_toy_mellin_record_matches_zeta(toy, rho):
+    # zeros n^2: int_0^inf phi(t) t^(rho-1) dt = Gamma(rho) zeta(2 rho), also
+    # next to rho0 = 1/2, where the closed-form head carries most of it
+    mpmath = pytest.importorskip("mpmath")
+    (rec,) = [r for r in run_identity_suite(toy, rho_list=(rho,))
+              if r.check_name == "mellin_transform"]
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+        want = float(mpmath.gamma(r) * mpmath.zeta(2 * r))
+    assert abs(rec.lhs - want) <= 1e-11 * want
 
 
 @hypothesis.given(rho=st.floats(min_value=0.751, max_value=0.999,

@@ -5,12 +5,15 @@ import math
 
 import pytest
 
-from g0bound.errors import DomainError, EvaluationOverflowError
+from g0bound import numerics, verify
+from g0bound.errors import ConvergenceError, DomainError
 from g0bound.models import default_fleet
 from g0bound.verify import (DEFAULT_TOLERANCES, GridSpec, VerificationRecord,
                             format_complex, records_to_csv, records_to_jsonl,
                             run_all, run_identity_suite, run_inequality_suite,
                             run_monotonicity_suite)
+from g0bound.zeros import (ZeroSequence, model_from_zeros,
+                           reciprocal_power_zero_sum)
 
 SMALL_GRID = GridSpec(radii=(1.0, 4.0), angles=(0.0, 0.4, -0.9),
                       rhos=("midpoint", 0.8))
@@ -67,15 +70,14 @@ def test_identity_suite_rejects_bad_rho(toy):
 
 
 def test_identity_suite_near_order(toy, bessel_zero):
-    # rho just above rho0 = 1/2: the Mellin integral splits off phi's
-    # t^-rho0 blow-up, so its head substitution stays in range
+    # rho next to rho0 = 1/2: the t^-rho0 head of phi is taken in closed
+    # form, so the Mellin transform holds all the way down to rho0
     for model in (toy, bessel_zero):
-        recs = run_identity_suite(model, rho_list=(0.51, 0.52))
+        recs = run_identity_suite(model, rho_list=(0.501, 0.5 + 1e-6))
         assert all(r.passed for r in recs), model.model_id
         mellin = [r for r in recs if r.check_name == "mellin_transform"]
         assert len(mellin) == 2
-        with pytest.raises(EvaluationOverflowError, match="underflows"):
-            run_identity_suite(model, rho_list=(0.501,))
+        assert all(r.rel_error <= 1e-11 for r in mellin), model.model_id
 
 
 def test_fleet_mellin_transform_to_1e10():
@@ -85,6 +87,84 @@ def test_fleet_mellin_transform_to_1e10():
     assert len(mellin) == 18
     worst = max(r.rel_error for r in mellin)
     assert worst <= 1e-10, worst
+
+
+def _record(recs, name, key, value):
+    return next(r for r in recs if r.check_name == name
+                and r.inputs[key] == value)
+
+
+def test_toy_transforms_match_closed_forms(toy):
+    # zeros n^2: f(z)/f(0) = sinh(pi sqrt z)/(pi sqrt z), so
+    # f'/f(x) = pi coth(pi sqrt x)/(2 sqrt x) - 1/(2x)
+    mpmath = pytest.importorskip("mpmath")
+    recs = run_identity_suite(toy)
+    with mpmath.workdps(30):
+        for x in verify._LAPLACE_XS:
+            r = mpmath.sqrt(x)
+            want = float(mpmath.pi * mpmath.coth(mpmath.pi * r) / (2 * r)
+                         - 1 / (2 * mpmath.mpf(x)))
+            got = _record(recs, "laplace_transform", "x", x).lhs
+            assert abs(got - want) <= 1e-11 * want, x
+        for z in verify._LOGREP_ZS:
+            r = mpmath.sqrt(mpmath.mpc(z))
+            want = complex(mpmath.sinh(mpmath.pi * r) / (mpmath.pi * r))
+            got = _record(recs, "log_representation", "z",
+                          format_complex(z)).lhs
+            assert abs(got - want) <= 1e-11 * abs(want), z
+
+
+def test_head_only_mellin_matches_zero_sum():
+    # a finite product: phi(t) -> N as t -> 0, so the closed-form head is
+    # N lo^rho / rho; rho = 0.05 puts about 1% of the transform there
+    head = [0.3, 1.7, 2.0, 9.5, 40.0, 250.0]
+    model = model_from_zeros(ZeroSequence(head, 2.0, None), model_id="six")
+    recs = run_identity_suite(model, rho_list=(0.05, 0.5))
+    assert all(r.passed for r in recs)
+    for rho in (0.05, 0.5):
+        want = math.gamma(rho) * math.fsum(z ** -rho for z in head)
+        got = _record(recs, "mellin_transform", "rho", rho).lhs
+        assert abs(got - want) <= 1e-11 * want, rho
+
+
+def test_airy_laplace_meets_the_zero_sum(airy):
+    # the closed-form head [0, 2^-133] is 1.5e-10 of these transforms, so a
+    # rule that dropped it would read low by more than the allowance
+    recs = run_identity_suite(airy)
+    zs = airy.zeros()
+    for x in verify._LAPLACE_XS:
+        want = float(reciprocal_power_zero_sum(zs, x, 1))
+        got = _record(recs, "laplace_transform", "x", x).lhs
+        assert abs(got - want) <= 1e-11 * want, x
+
+
+def test_identity_suite_samples_phi_once(monkeypatch):
+    calls = {"phi_vec": 0, "integrate_singular": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "phi_vec", counted("phi_vec", verify.phi_vec))
+    for module in (verify, numerics):
+        monkeypatch.setattr(module, "integrate_singular",
+                            counted("integrate_singular",
+                                    numerics.integrate_singular))
+    models = [m for m in default_fleet() if m.zeros_authoritative]
+    assert len(models) == 6
+    for model in models:
+        run_identity_suite(model)
+    assert calls == {"phi_vec": len(models), "integrate_singular": 0}
+
+
+def test_head_band_over_its_limit_raises(toy, monkeypatch):
+    # a head whose band is too wide for the check fails loudly, naming the
+    # check and its input
+    monkeypatch.setattr(verify, "_HEAD_BAND_MAX", 0.0)
+    with pytest.raises(ConvergenceError, match=r"mellin_transform at rho = 0\.6"):
+        run_identity_suite(toy, rho_list=(0.6,))
 
 
 def test_identity_suite_bessel_adjudicates(bessel_half):
