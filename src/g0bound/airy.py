@@ -1,19 +1,23 @@
 """Airy-pair model f(z) = Ai(i sqrt z) Ai(-i sqrt z).
 
-Ai is evaluated by its Maclaurin expansion, which is reliable for the
-moderate |w| = sqrt|z| this model allows (the pair evaluation is capped at
-|z| <= z_max, default 25).  The zeros of f sit at z_n = t_n^2 where
-Ai(-t_n) = 0; they grow like (3 pi (4n-1)/8)^(4/3), giving an entire
-function of order 3/4.
+Values and zeros come from scipy's AMOS Airy routines (airye, airy,
+ai_zeros).  f(x)/f(0) overflows near x = 6.9e3 and |f(z)| <= f(|z|), so the
+pair evaluation is capped at |z| <= DOMAIN_MAX_ABS = 5e3.  The zeros of f sit
+at z_n = t_n^2 where Ai(-t_n) = 0; they grow like (3 pi (4n-1)/8)^(4/3),
+giving an entire function of order 3/4.  f'/f is the zero sum.
+
+airy_ai_maclaurin, Ai from its Maclaurin series for |w| <= 8.5, is the
+independent route that verify's pair-product derivative check and the tests
+compare against.
 """
 
 import cmath
 import math
 
 import numpy as np
+from scipy.special import ai_zeros, airy, airye
 
 from .errors import DomainError
-from .numerics import find_root_bracketed
 from .zeros import FunctionModel, ZeroSequence, reciprocal_zero_sum
 
 __all__ = [
@@ -25,9 +29,8 @@ __all__ = [
 
 AI_ZERO = 0.35502805388781724        # Ai(0)  = 3^(-2/3)/Gamma(2/3)
 AI_PRIME_ZERO = -0.2588194037928068  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
-Z_MAX_DEFAULT = 25.0
+DOMAIN_MAX_ABS = 5e3      # |z| cap of airy_pair_eval and of the model
 _W_MAX = 8.5            # |w| cap for the Maclaurin series (cancellation)
-_REFINE_MAX = 5         # root refinement window; see airy_squared_zeros
 _TAIL_C = (1.5 * math.pi) ** (4.0 / 3.0)
 
 
@@ -56,58 +59,45 @@ def airy_ai_maclaurin(w):
     return AI_ZERO * fsum + AI_PRIME_ZERO * gsum
 
 
-def airy_pair_eval(z, z_max: float = Z_MAX_DEFAULT):
-    """Ai(i sqrt z) * Ai(-i sqrt z); real and >= Ai(0)^2 for real z >= 0."""
+def airy_pair_eval(z):
+    """Ai(i sqrt z) * Ai(-i sqrt z); real and >= Ai(0)^2 for real z >= 0.
+
+    With w = i sqrt z this is airye(w) airye(-w) exp(-(2/3)(w^(3/2) +
+    (-w)^(3/2))), where airye(w) = Ai(w) exp((2/3) w^(3/2)) is the scaled
+    AMOS routine; DomainError past |z| = DOMAIN_MAX_ABS.
+    """
     z = complex(z)
-    if abs(z) > z_max:
-        raise DomainError(f"|z| = {abs(z):g} exceeds the evaluation cap {z_max:g}")
-    w = 1j * cmath.sqrt(z)
-    val = airy_ai_maclaurin(w) * airy_ai_maclaurin(-w)
+    if abs(z) > DOMAIN_MAX_ABS:
+        raise DomainError(f"|z| = {abs(z):g} exceeds the domain cap {DOMAIN_MAX_ABS:g}")
+    # a -0.0 imaginary part would put -w on the lower side of airye's cut
+    w = 1j * cmath.sqrt(complex(z.real, z.imag + 0.0))
+    scale = cmath.exp(-(2.0 / 3.0) * (w * cmath.sqrt(w) + (-w) * cmath.sqrt(-w)))
+    val = complex(airye(w)[0]) * complex(airye(-w)[0]) * scale
     if z.imag == 0.0 and z.real >= 0.0:
         # conjugate pair of a real-coefficient function
         return complex(val.real, 0.0)
     return val
 
 
-def _airy_t_guess(n: int) -> float:
-    """Asymptotic n-th zero of Ai(-t): T(zeta) with zeta = 3 pi (4n-1)/8."""
-    zeta = 3.0 * math.pi * (4 * n - 1) / 8.0
-    zi = 1.0 / (zeta * zeta)
-    corr = (1.0 + zi * (5.0 / 48.0 + zi * (-5.0 / 36.0 + zi * (
-        77125.0 / 82944.0 - zi * 108056875.0 / 6967296.0))))
-    return zeta ** (2.0 / 3.0) * corr
-
-
 def airy_squared_zeros(count):
-    """First `count` values of t_n^2 with Ai(-t_n) = 0.
-
-    The first few guesses are refined together by one bracketed solve on
-    the Maclaurin series; past n = 5 the asymptotic guess is already more
-    accurate than the cancellation-limited series, so it is used directly
-    (everything returned is good to ~5e-12 relative).
-    """
+    """First `count` values of t_n^2 with Ai(-t_n) = 0: scipy's ai_zeros
+    refined by one Newton step t += Ai(-t)/Ai'(-t)."""
     if not 1 <= count <= 10 ** 3:
         raise DomainError(f"count must be in [1, 1e3], got {count!r}")
-    t = np.array([_airy_t_guess(n) for n in range(1, count + 1)])
-    near = t[:_REFINE_MAX]
-    t[:_REFINE_MAX] = find_root_bracketed(
-        lambda s: np.array([airy_ai_maclaurin(-v).real for v in s]),
-        near - 0.2, near + 0.2, tol=1e-13)
-    out = t * t
-    if np.any(np.diff(out) <= 0.0):
-        raise DomainError("airy zeros failed to come out increasing")
-    return out.tolist()
+    t = -ai_zeros(count)[0]
+    ai, ai_prime, _, _ = airy(-t)
+    t = t + ai / ai_prime
+    return (t * t).tolist()
 
 
 class AiryPairModel(FunctionModel):
     """f(z) = Ai(i sqrt z) Ai(-i sqrt z): order 3/4, zeros at t_n^2."""
 
-    def __init__(self, head_count=200, z_max: float = Z_MAX_DEFAULT):
+    def __init__(self, head_count=200):
         self.model_id = "airy-pair"
         self.order_rho0 = 0.75
         self.f0 = AI_ZERO ** 2
-        self.z_max = float(z_max)
-        self.domain_radius_max = self.z_max
+        self.domain_radius_max = DOMAIN_MAX_ABS
         self.identity_rhos = (0.8, 0.875, 0.95)
         head = airy_squared_zeros(head_count)
         self._zs = ZeroSequence(head, 4.0 / 3.0, _TAIL_C, order_rho0=0.75,
@@ -118,7 +108,7 @@ class AiryPairModel(FunctionModel):
 
     def value_ratio(self, z):
         zc = complex(z)
-        val = airy_pair_eval(zc, self.z_max) / self.f0
+        val = airy_pair_eval(zc) / self.f0
         if zc.imag == 0.0 and zc.real >= 0.0:
             return float(val.real)
         return val

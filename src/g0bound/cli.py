@@ -71,13 +71,13 @@ def _extract_tolerance_overrides(argv):
     return clean, overrides
 
 
+# the model-parameter flags, as argparse attributes
+_MODEL_PARAMS = ("nu", "a", "head_count")
+
+
 def _model_from_args(args):
-    kwargs = {}
-    for attr in ("nu", "a", "head_count", "z_max"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[attr] = value
-    return build_model(args.model, **kwargs)
+    return build_model(args.model,
+                       **{attr: getattr(args, attr) for attr in _MODEL_PARAMS})
 
 
 def _float_list(text, flag):
@@ -182,8 +182,8 @@ def _emit_records(records, summary, output) -> None:
 
 def cmd_verify(args, tolerances) -> int:
     if args.model == "all":
-        for attr in ("nu", "a", "head_count", "z_max"):
-            if getattr(args, attr, None) is not None:
+        for attr in _MODEL_PARAMS:
+            if getattr(args, attr) is not None:
                 raise DomainError(f"--{attr.replace('_', '-')} needs a "
                                   "specific --model, not 'all'")
         models = default_fleet()
@@ -254,8 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="argument parameter (k-order only)")
         p.add_argument("--head-count", type=int, default=None,
                        help="explicitly enumerated leading zeros")
-        p.add_argument("--z-max", type=float, default=None,
-                       help="radius the zero head must cover")
 
     p_bound = sub.add_parser("bound", help="bound report at one point")
     add_model_flags(p_bound)

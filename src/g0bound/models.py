@@ -37,9 +37,10 @@ def toy_square_model(head_count: int = TOY_HEAD_DEFAULT) -> FunctionModel:
 
 
 def build_model(name: str, nu: float | None = None, a: float | None = None,
-                head_count: int | None = None,
-                z_max: float | None = None) -> FunctionModel:
-    """Construct a model from its selection string and optional parameters.
+                head_count: int | None = None) -> FunctionModel:
+    """Construct a model from its selection string and optional parameters:
+    nu for bessel-i, a for k-order, head_count for every model (airy-pair
+    takes no parameter of its own).
 
     Unused parameters for the selected model are rejected, so a typo like
     --nu on the Airy model fails loudly instead of being ignored.
@@ -52,24 +53,18 @@ def build_model(name: str, nu: float | None = None, a: float | None = None,
             raise DomainError(
                 f"model '{key}' does not take {', '.join(extras)}")
 
+    kwargs = {} if head_count is None else {"head_count": int(head_count)}
     if key == "toy-square":
-        reject(nu=nu, a=a, z_max=z_max)
-        return toy_square_model(TOY_HEAD_DEFAULT if head_count is None else head_count)
+        reject(nu=nu, a=a)
+        return toy_square_model(**kwargs)
     if key == "bessel-i":
-        reject(a=a, z_max=z_max)
-        kwargs = {} if head_count is None else {"head_count": int(head_count)}
+        reject(a=a)
         return BesselIModel(0.0 if nu is None else float(nu), **kwargs)
     if key == "airy-pair":
         reject(nu=nu, a=a)
-        kwargs = {}
-        if head_count is not None:
-            kwargs["head_count"] = int(head_count)
-        if z_max is not None:
-            kwargs["z_max"] = float(z_max)
         return AiryPairModel(**kwargs)
     if key == "k-order":
-        reject(nu=nu, z_max=z_max)
-        kwargs = {} if head_count is None else {"head_count": int(head_count)}
+        reject(nu=nu)
         return KOrderModel(1.0 if a is None else float(a), **kwargs)
     raise DomainError(
         f"unknown model '{name}'; choose one of {', '.join(MODEL_NAMES)}")

@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# json.dumps(..., sort_keys=True) without building an encoder per record
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 DEFAULT_TOLERANCES = {
     # identity suite (relative agreement of two routes)
@@ -629,8 +631,7 @@ def summarize_records(records) -> dict:
 
 
 def records_to_jsonl(records) -> str:
-    lines = [json.dumps(rec.to_json_dict(), sort_keys=True)
-             for rec in records]
+    lines = [_JSON_ENCODER.encode(rec.to_json_dict()) for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

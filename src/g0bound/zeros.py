@@ -381,8 +381,8 @@ class ZeroSequence:
         tail_power_sum(k) scaled by r^k).  Every ratio r[i]/z_n is at most 1,
         so Q[i] is O(N - m_i) and no factor leaves the floating range.
 
-        Built on the first call: the powers of each head zero's ratio by one
-        cumulative product, the sums between breakpoints by one reduceat, and
+        Built on the first call: the powers of each head zero's ratio by
+        _powers, the sums between breakpoints by one reduceat, and
         the suffix sums as one contraction with the powers of r[i]/r[l].
         """
         if self._suffix_table is None:
@@ -397,9 +397,7 @@ class ZeroSequence:
             r = np.minimum.accumulate(first[::-1])[::-1]
             u = np.repeat(r[:m.size], np.diff(np.append(m, n))) / self.head
             with np.errstate(under="ignore"):
-                powers = np.cumprod(np.broadcast_to(u[:, None], (n, ks.size)),
-                                    axis=1)
-                blocks = np.add.reduceat(powers, m, axis=0)
+                blocks = np.add.reduceat(_powers(u, ks.size), m, axis=1).T
                 if self.has_tail:
                     tail = (z_tail / base) ** ks * self._tail_power_scaled(ks)[0]
                     blocks = np.vstack([blocks, tail])
@@ -417,9 +415,8 @@ class ZeroSequence:
         if self._head_moments is None:
             u = self.head / self.head[-1]
             with np.errstate(under="ignore"):
-                powers = np.cumprod(
-                    np.broadcast_to(u[:, None], (u.size, _SERIES_TERMS - 1)), axis=1)
-            mu = np.concatenate(([float(u.size)], powers.sum(axis=0)))
+                powers = _powers(u, _SERIES_TERMS - 1)
+            mu = np.concatenate(([float(u.size)], powers.sum(axis=1)))
             mu.setflags(write=False)
             self._head_moments = mu
         return self._head_moments
@@ -715,6 +712,15 @@ def reciprocal_power_zero_sum(zs: ZeroSequence, w, power: int):
     if zs.has_tail and not near.all():
         out[~near] += zs.tail_reciprocal_sum(wa[~near], power)
     return out[0] if scalar else out.reshape(np.shape(w))
+
+
+def _powers(u: np.ndarray, count: int) -> np.ndarray:
+    """Rows out[k-1] = u^k for k = 1..count, one multiply per power."""
+    out = np.empty((count, u.size))
+    out[0] = u
+    for k in range(1, count):
+        np.multiply(out[k - 1], u, out=out[k])
+    return out
 
 
 def _binomial_series(q, sums, power: int):

@@ -1,13 +1,14 @@
-"""Airy-pair model: Maclaurin evaluation, zero head, pair symmetry."""
+"""Airy-pair model: scipy values and zeros against mpmath, the domain cap,
+pair symmetry, and the Maclaurin route against scipy."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.special
 
-import g0bound.airy
-from g0bound.airy import (AiryPairModel, airy_ai_maclaurin, airy_pair_eval,
+from g0bound.airy import (DOMAIN_MAX_ABS, AiryPairModel, airy_ai_maclaurin, airy_pair_eval,
                           airy_squared_zeros)
 from g0bound.errors import DomainError
 from g0bound.zeros import product_eval
@@ -35,17 +36,14 @@ def test_squared_zero_head():
     assert np.allclose(got, AIRY_SQUARED, rtol=1e-10)
 
 
-def test_zero_table_is_one_bracketed_solve(monkeypatch):
-    calls = []
-    real = g0bound.airy.find_root_bracketed
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(g0bound.airy, "find_root_bracketed", counted)
-    airy_squared_zeros(200)
-    assert len(calls) == 1
+def test_squared_zeros_match_mpmath():
+    # every zero of the 200-zero head, against 30-digit airyaizero
+    mpmath = pytest.importorskip("mpmath")
+    got = airy_squared_zeros(200)
+    with mpmath.workdps(30):
+        want = [float(mpmath.airyaizero(n) ** 2) for n in range(1, 201)]
+    for n, (g, w) in enumerate(zip(got, want), start=1):
+        assert abs(g - w) <= 1e-14 * w, n
 
 
 def test_pair_eval_is_positive_on_axis():
@@ -63,16 +61,22 @@ def test_pair_eval_value_at_zero():
 
 
 def test_pair_eval_domain_cap():
+    assert DOMAIN_MAX_ABS == 5e3
+    # finite on the whole disc: |f(z)| <= f(|z|), and f(5e3)/f(0) is 2e242
+    for theta in (0.0, 0.5, 2.0, math.pi):
+        v = airy_pair_eval(cmath.rect(DOMAIN_MAX_ABS, theta))
+        assert cmath.isfinite(v), theta
     with pytest.raises(DomainError):
-        airy_pair_eval(26.0)
-    airy_pair_eval(39.0, z_max=40.0)  # explicit cap extends the domain
+        airy_pair_eval(5001.0)
+    with pytest.raises(DomainError):
+        airy_pair_eval(cmath.rect(5001.0, 2.0))
 
 
 def test_model_metadata(airy):
     assert airy.order_rho0 == 0.75
     assert airy.zeros_authoritative
     assert airy.identity_rhos == (0.8, 0.875, 0.95)
-    assert airy.domain_radius_max == 25.0
+    assert airy.domain_radius_max == 5e3
     assert airy.zeros().tail_exponent == pytest.approx(4.0 / 3.0)
 
 
@@ -91,14 +95,25 @@ def test_model_axis_monotone(airy):
 
 
 def test_model_rejects_out_of_domain(airy):
+    airy.value_ratio(1000.0 + 100.0j)
     with pytest.raises(DomainError):
-        airy.value_ratio(30.0)
+        airy.value_ratio(5.1e3)
+    with pytest.raises(DomainError):
+        airy.value_ratio(-4000.0 + 4000.0j)
 
 
 def test_value_ratio_matches_mpmath_airyai(airy, verify_points):
-    # Ai(i sqrt z) Ai(-i sqrt z) / Ai(0)^2 at 30 digits
+    # Ai(i sqrt z) Ai(-i sqrt z) / Ai(0)^2 at 30 digits: at the verify points,
+    # over |z| in [1e-3, 5e3] with |arg z| <= 0.95 pi, and on the negative
+    # axis with both signs of a zero imaginary part (f is entire)
     mpmath = pytest.importorskip("mpmath")
-    for z in verify_points:
+    pts = list(verify_points)
+    pts += [cmath.rect(r, theta)
+            for r in np.geomspace(1e-3, DOMAIN_MAX_ABS, 12)
+            for theta in np.linspace(-0.95 * math.pi, 0.95 * math.pi, 9)]
+    pts += [complex(-x, zero) for x in (0.5, 3.0, 100.0, 4999.0)
+            for zero in (0.0, -0.0)]
+    for z in pts:
         with mpmath.workdps(30):
             s = mpmath.sqrt(mpmath.mpc(z))
             want = complex(mpmath.airyai(1j * s) * mpmath.airyai(-1j * s)

@@ -198,6 +198,19 @@ def test_usage_errors_exit_two(capsys):
         main(["zeros", "--model", "unknown-model"])
     assert exc.value.code == 2
 
+    # the Airy model takes no cap: --z-max is not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--model", "airy-pair", "--z", "1", "--z-max", "30"])
+    assert exc.value.code == 2
+    assert "--z-max" in capsys.readouterr().err
+
+
+def test_airy_pair_beyond_the_old_cap(capsys):
+    code, out, _ = run_cli(["bound", "--model", "airy-pair",
+                            "--z", "1000+100i"], capsys)
+    assert code == 0
+    assert "chain_ok     true" in out
+
 
 def test_timing_goes_to_stderr(capsys):
     _, out, err = run_cli(["zeros", "--model", "toy-square", "--count", "1"],

@@ -267,6 +267,13 @@ def test_jsonl_round_trip(toy):
     assert records_to_jsonl(recs) == text
 
 
+def test_jsonl_matches_per_record_dumps_on_the_fleet():
+    recs = run_all(default_fleet(), seed=3)["records"]
+    want = "".join(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n"
+                   for rec in recs)
+    assert records_to_jsonl(recs) == want
+
+
 def test_csv_shape(toy):
     recs = run_identity_suite(toy)
     text = records_to_csv(recs)

@@ -408,3 +408,21 @@ def test_expansion_tables_built_on_first_use():
     want = [r_i * (math.pi ** 2 / 6 - np.sum(1.0 / np.arange(1.0, m_i + 1.0) ** 2))
             for m_i, r_i in zip(m, r)]
     assert suffix[:, 0] == pytest.approx(want, rel=1e-12)
+
+
+def test_expansion_tables_match_fsum():
+    # every entry of the toy's two tables against math.fsum of explicit
+    # powers: Q[i, k-1] = sum_{n>m_i} (r_i/z_n)^k + r_i^k tail_power_sum(k)
+    # and mu_k = sum_n (z_n/z_N)^k
+    zs = toy_sequence()
+    head = zs.head
+    m, r, suffix = zs.suffix_power_table()
+    for i, (m_i, r_i) in enumerate(zip(m, r)):
+        for k in range(1, suffix.shape[1] + 1):
+            want = (math.fsum(np.power(r_i / head[m_i:], k))
+                    + r_i ** k * zs.tail_power_sum(float(k)))
+            assert abs(suffix[i, k - 1] - want) <= 1e-15 * want, (m_i, k)
+    mu = zs.head_moments()
+    for k, got in enumerate(mu):
+        want = math.fsum(np.power(head / head[-1], k))
+        assert abs(got - want) <= 1e-15 * want, k
