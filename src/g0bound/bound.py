@@ -119,17 +119,23 @@ class BoundReport:
     j_source: str = "quadrature"
 
     def to_json_dict(self) -> dict:
+        """The serialized report; a value that is not finite is None (bound
+        overflows once exponent_thm passes about 709, which still carries
+        its log)."""
+        def num(x):
+            return x if math.isfinite(x) else None
+
         return {
-            "z": {"re": self.z.real, "im": self.z.imag},
-            "rho": self.rho,
-            "J": self.J,
-            "exponent_thm": self.exponent_thm,
-            "exponent_intermediate": self.exponent_intermediate,
-            "bound": self.bound,
-            "lower": self.lower,
-            "mid": self.mid,
+            "z": {"re": num(self.z.real), "im": num(self.z.imag)},
+            "rho": num(self.rho),
+            "J": num(self.J),
+            "exponent_thm": num(self.exponent_thm),
+            "exponent_intermediate": num(self.exponent_intermediate),
+            "bound": num(self.bound),
+            "lower": num(self.lower),
+            "mid": num(self.mid),
             "chain_ok": bool(self.chain_ok),
-            "slack": self.slack,
+            "slack": num(self.slack),
             "j_source": self.j_source,
         }
 

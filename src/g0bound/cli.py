@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -24,10 +25,13 @@ import time
 from .bound import evaluate_chain, midpoint_rho, optimize_rho
 from .errors import DomainError, G0BoundError
 from .models import MODEL_NAMES, build_model, default_fleet
-from .verify import (DEFAULT_TOLERANCES, GridSpec, format_complex,
-                     records_to_csv, records_to_jsonl, run_all,
-                     run_identity_suite, summarize_records)
+from .verify import (GridSpec, format_complex, records_to_csv,
+                     records_to_jsonl, run_all, run_identity_suite,
+                     summarize_records)
 __all__ = ["main", "parse_complex"]
+
+# every JSON line on stdout: sorted keys, and no NaN or Infinity tokens
+_dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -49,26 +53,6 @@ def parse_complex(text: str) -> complex:
     if m.group("sign") == "-":
         im_part = -im_part
     return complex(re_part, im_part)
-
-
-def _extract_tolerance_overrides(argv):
-    """Pull --tol.<check_name>=<value> flags out before argparse sees them."""
-    clean, overrides = [], {}
-    for arg in argv:
-        if not arg.startswith("--tol."):
-            clean.append(arg)
-            continue
-        name, sep, value = arg[len("--tol."):].partition("=")
-        if not sep:
-            raise DomainError(f"{arg!r}: expected --tol.<name>=<value>")
-        if name not in DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(DEFAULT_TOLERANCES))
-            raise DomainError(f"unknown tolerance {name!r}; known: {known}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise DomainError(f"{arg!r}: tolerance value must be a number")
-    return clean, overrides
 
 
 # the model-parameter flags, as argparse attributes
@@ -110,7 +94,7 @@ def _grid_from_args(args) -> GridSpec:
     return GridSpec(radii=radii, angles=angles, rhos=rhos)
 
 
-def cmd_bound(args, tolerances) -> int:
+def cmd_bound(args) -> int:
     model = _model_from_args(args)
     z = parse_complex(args.z)
     if args.rho is None:
@@ -132,12 +116,12 @@ def cmd_bound(args, tolerances) -> int:
         payload["rho_star"] = report.rho
 
     if args.output == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
     elif args.output == "csv":
         keys = sorted(payload)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerow([json.dumps(payload[k], sort_keys=True)
+        writer.writerow([_dumps(payload[k])
                          if isinstance(payload[k], dict) else payload[k]
                          for k in keys])
     else:
@@ -163,12 +147,10 @@ def _summary_payload(summary) -> dict:
 def _emit_records(records, summary, output) -> None:
     if output == "jsonl":
         sys.stdout.write(records_to_jsonl(records))
-        print(json.dumps({"summary": _summary_payload(summary)},
-                         sort_keys=True))
+        print(_dumps({"summary": _summary_payload(summary)}))
     elif output == "csv":
         sys.stdout.write(records_to_csv(records))
-        print(json.dumps({"summary": _summary_payload(summary)},
-                         sort_keys=True), file=sys.stderr)
+        print(_dumps({"summary": _summary_payload(summary)}), file=sys.stderr)
     else:
         for rec in records:
             verdict = "PASS" if rec.passed else "FAIL"
@@ -180,7 +162,7 @@ def _emit_records(records, summary, output) -> None:
               f"failed={s['failed']}")
 
 
-def cmd_verify(args, tolerances) -> int:
+def cmd_verify(args) -> int:
     if args.model == "all":
         for attr in _MODEL_PARAMS:
             if getattr(args, attr) is not None:
@@ -190,12 +172,12 @@ def cmd_verify(args, tolerances) -> int:
     else:
         models = [_model_from_args(args)]
     grid = _grid_from_args(args)
-    summary = run_all(models, grid, seed=args.seed, tolerances=tolerances)
+    summary = run_all(models, grid, seed=args.seed)
     _emit_records(summary["records"], summary, args.output)
     return 3 if summary["failed"] else 0
 
 
-def cmd_zeros(args, tolerances) -> int:
+def cmd_zeros(args) -> int:
     if args.model == "k-order" and args.head_count is None:
         args.head_count = max(8, min(args.count, 32))
     model = _model_from_args(args)
@@ -209,11 +191,11 @@ def cmd_zeros(args, tolerances) -> int:
     zeros = head[:args.count]
     running = (1.0 / zeros).cumsum()
     if args.output == "json":
-        print(json.dumps({
+        print(_dumps({
             "model_id": model.model_id,
             "zeros": [float(z) for z in zeros],
             "reciprocal_sums": [float(s) for s in running],
-        }, sort_keys=True))
+        }))
     elif args.output == "csv":
         print("n,zero,reciprocal_sum")
         for n, (z, s) in enumerate(zip(zeros, running), start=1):
@@ -225,13 +207,13 @@ def cmd_zeros(args, tolerances) -> int:
     return 0
 
 
-def cmd_identity(args, tolerances) -> int:
+def cmd_identity(args) -> int:
     model = _model_from_args(args)
     if args.rho:
         rhos = _float_list(args.rho, "--rho")
     else:
         rhos = None
-    records = run_identity_suite(model, rhos, tolerances=tolerances)
+    records = run_identity_suite(model, rhos)
     summary = summarize_records(records)
     _emit_records(records, summary, args.output)
     return 3 if summary["failed"] else 0
@@ -297,17 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    try:
-        raw, tolerances = _extract_tolerance_overrides(raw)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    args = parser.parse_args(raw)
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        return args.func(args, tolerances)
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

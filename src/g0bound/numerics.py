@@ -5,8 +5,8 @@ paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels, bracketed root
 finding over arrays of brackets, and bounded scalar minimization.
 
 All integrators call the integrand with a numpy array of abscissae and expect
-an array of the same length back (real or complex); so does the root finder
-when it refines an array of brackets together, one call per round.  A
+an array of the same length back (real or complex); so does the root finder,
+which refines all its brackets together, one call per round.  A
 quadrature or root solve that cannot reach its tolerance raises
 ConvergenceError; none returns an unconverged value.  Everything here is a
 pure function of its inputs and safe to call from multiple threads.
@@ -299,16 +299,14 @@ _ROOT_MAX_ITER = 200
 def find_root_bracketed(h, lo, hi, tol=1e-12):
     """Find a root of h in each bracket [lo, hi] with h(lo)*h(hi) < 0.
 
-    lo, hi and tol broadcast together.  For scalar lo and hi, h is called
-    with floats and a float is returned; otherwise h maps an array of
-    abscissae to an array of values and the roots come back in the
-    broadcast shape.  The brackets refine together by regula falsi with the
-    Illinois rule, one h call per round over those still wider than their
-    tol; each root has |h| no larger than at either end of its final
-    bracket.  Raises BracketError naming the first bracket with lo >= hi or
-    no sign change, and ConvergenceError after 200 rounds.
+    lo, hi and tol broadcast together; h maps an array of abscissae to an
+    array of values, and the roots come back in the broadcast shape.  The
+    brackets refine together by regula falsi with the Illinois rule, one h
+    call per round over those still wider than their tol; each root has |h|
+    no larger than at either end of its final bracket.  Raises BracketError
+    naming the first bracket with lo >= hi or no sign change, and
+    ConvergenceError after 200 rounds.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi, tol = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                       np.asarray(hi, dtype=float),
                                       np.asarray(tol, dtype=float))
@@ -318,16 +316,10 @@ def find_root_bracketed(h, lo, hi, tol=1e-12):
     def reject(bad, why):
         if bad.any():
             k = int(np.argmax(bad))
-            at = "" if scalar else f" {k}"
-            raise BracketError(f"{why}: bracket{at} [{a[k]:.17g}, {b[k]:.17g}]")
-
-    def hv(x):
-        if scalar:
-            return np.array([h(float(v)) for v in x], dtype=float)
-        return np.asarray(h(x), dtype=float)
+            raise BracketError(f"{why}: bracket {k} [{a[k]:.17g}, {b[k]:.17g}]")
 
     reject(~(b > a), "lo >= hi")
-    fa, fb = np.split(hv(np.concatenate([a, b])), 2)
+    fa, fb = np.split(np.asarray(h(np.concatenate([a, b])), dtype=float), 2)
     reject(~(np.sign(fa) * np.sign(fb) <= 0.0), "h has the same sign at both ends")
     # an end where h vanishes is the root: collapse the bracket onto it
     a = np.where(fb == 0.0, b, a)
@@ -342,11 +334,11 @@ def find_root_bracketed(h, lo, hi, tol=1e-12):
         ids, a, b, fa, fb, ga, gb, side, tol = (
             v[~done] for v in (ids, a, b, fa, fb, ga, gb, side, tol))
         if not ids.size:
-            return float(out[0]) if scalar else out.reshape(shape)
+            return out.reshape(shape)
         # the false-position point, kept tol/2 inside the bracket so that an
         # end already within tol/2 of the root sends it across
         x = np.clip(b - gb * (b - a) / (gb - ga), a + 0.5 * tol, b - 0.5 * tol)
-        fx = hv(x)
+        fx = np.asarray(h(x), dtype=float)
         left = (fx < 0.0) == (fa < 0.0)   # x takes a's place
         ga = np.where(left, fx, np.where(side > 0.0, 0.5 * ga, ga))
         gb = np.where(left, np.where(side < 0.0, 0.5 * gb, gb), fx)

@@ -26,6 +26,7 @@ deterministic: sorted by (check_name, model_id, serialized inputs).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -48,7 +49,7 @@ from .zeros import (FunctionModel, phi_vec, reciprocal_power_zero_sum,
 __all__ = [
     "VerificationRecord",
     "GridSpec",
-    "DEFAULT_TOLERANCES",
+    "TOLERANCES",
     "format_complex",
     "run_identity_suite",
     "run_inequality_suite",
@@ -61,9 +62,10 @@ __all__ = [
 
 _TINY = 1e-300
 # json.dumps(..., sort_keys=True) without building an encoder per record
-_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
-DEFAULT_TOLERANCES = {
+# the tolerance of each check, looked up by check name
+TOLERANCES = {
     # identity suite (relative agreement of two routes)
     "mellin_transform": 1e-6,
     "laplace_transform": 1e-6,
@@ -120,7 +122,9 @@ class VerificationRecord:
     The serialized field name for `passed` is "pass" (a Python keyword).
     One-sided inequality checks encode their (clipped) violation as both
     abs_error and rel_error, so the pass rule is uniformly
-    pass <=> (abs_error <= tolerance or rel_error <= tolerance).
+    pass <=> (abs_error <= tolerance or rel_error <= tolerance), except for
+    log_ratio_finite, a value against its own error estimate, which passes
+    on rel_error alone.  The tolerance is TOLERANCES[check_name].
     """
 
     check_name: str
@@ -143,8 +147,11 @@ class VerificationRecord:
                 json.dumps(self.inputs, sort_keys=True))
 
     def to_json_dict(self) -> dict:
+        """The serialized record; a value that is not finite is None."""
         def num(v):
             vc = complex(v)
+            if not cmath.isfinite(vc):
+                return None
             return format_complex(vc) if vc.imag != 0.0 else float(vc.real)
 
         return {
@@ -153,30 +160,35 @@ class VerificationRecord:
             "inputs": self.inputs,
             "lhs": num(self.lhs),
             "rhs": num(self.rhs),
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
+            "abs_error": num(self.abs_error),
+            "rel_error": num(self.rel_error),
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
 
 
-def _tol(name: str, overrides: dict | None) -> float:
-    if overrides and name in overrides:
-        return float(overrides[name])
-    return DEFAULT_TOLERANCES[name]
-
-
-def _two_sided(name, model_id, inputs, lhs, rhs, tol) -> VerificationRecord:
+def _two_sided(name, model_id, inputs, lhs, rhs) -> VerificationRecord:
+    tol = TOLERANCES[name]
     abs_err = float(abs(lhs - rhs))
     rel_err = abs_err / max(abs(rhs), _TINY)
     return VerificationRecord(name, model_id, inputs, lhs, rhs, abs_err,
                               rel_err, tol, abs_err <= tol or rel_err <= tol)
 
 
-def _one_sided(name, model_id, inputs, lhs, rhs, violation, tol) -> VerificationRecord:
+def _one_sided(name, model_id, inputs, lhs, rhs, violation) -> VerificationRecord:
+    tol = TOLERANCES[name]
     v = max(0.0, float(violation))
     return VerificationRecord(name, model_id, inputs, lhs, rhs, v, v, tol,
                               v <= tol)
+
+
+def _estimate(name, model_id, inputs, value, error) -> VerificationRecord:
+    """A value against its own error estimate: passes on the relative
+    error alone."""
+    tol = TOLERANCES[name]
+    rel_err = error / max(abs(value), _TINY)
+    return VerificationRecord(name, model_id, inputs, value, value, error,
+                              rel_err, tol, rel_err <= tol)
 
 
 @dataclass(frozen=True)
@@ -285,12 +297,11 @@ def _logrep_lhs(rule: _PhiRule, z: complex) -> complex:
     return complex(np.exp(integral))
 
 
-def _adjudication_records(model: BesselIModel, tolerances) -> list:
+def _adjudication_records(model: BesselIModel) -> list:
     """Two candidate closed forms for the axis integrand f'/f differ by a
     nu/(2x) term; the power series F_(nu+1)/(4 F_nu) decides which one the
     function obeys.  The model's own f'/f comes from scipy's Bessel routines,
     as the candidates do, so it cannot serve as the second route."""
-    tol = _tol("axis_integrand_adjudication", tolerances)
     nu = model.nu
     out = []
     for x in _ADJUDICATION_XS:
@@ -308,14 +319,13 @@ def _adjudication_records(model: BesselIModel, tolerances) -> list:
         inputs = {"x": x, "nu": nu, "matched": matched,
                   "residual_other": resid[other]}
         out.append(_two_sided("axis_integrand_adjudication", model.model_id,
-                              inputs, truth, cands[matched], tol))
+                              inputs, truth, cands[matched]))
     return out
 
 
-def _pair_derivative_records(model: AiryPairModel, tolerances) -> list:
+def _pair_derivative_records(model: AiryPairModel) -> list:
     """Dual route for the pair-product log-derivative on the axis: twice the
     centred difference of log|Ai(i sqrt x)| against the zero-sum value."""
-    tol = _tol("pair_product_derivative", tolerances)
     h = 1e-3
     out = []
     for x in (1.0, 4.0):
@@ -325,12 +335,11 @@ def _pair_derivative_records(model: AiryPairModel, tolerances) -> list:
         fd = (single(x + h) - single(x - h)) / h  # 2 * d/dx log|Ai|
         zero_route = float(model.log_derivative(x))
         out.append(_two_sided("pair_product_derivative", model.model_id,
-                              {"x": x, "h": h}, fd, zero_route, tol))
+                              {"x": x, "h": h}, fd, zero_route))
     return out
 
 
-def run_identity_suite(model: FunctionModel, rho_list=None,
-                       tolerances: dict | None = None) -> list:
+def run_identity_suite(model: FunctionModel, rho_list=None) -> list:
     """Transform identities linking phi, the zero sums, J and the value ratio.
 
     For models with authoritative zeros: Mellin and Laplace transforms of
@@ -361,47 +370,38 @@ def run_identity_suite(model: FunctionModel, rho_list=None,
             s = zero_sum(zs, rho)
             records.append(_two_sided(
                 "mellin_transform", mid, {"rho": rho},
-                _mellin_lhs(rule, rho), gamma(rho) * s,
-                _tol("mellin_transform", tolerances)))
+                _mellin_lhs(rule, rho), gamma(rho) * s))
             j = float(log_ratio_integral(model, rho).value)
             records.append(_two_sided(
                 "log_ratio_integral_identity", mid, {"rho": rho},
-                j, math.pi / math.sin(math.pi * rho) * s,
-                _tol("log_ratio_integral_identity", tolerances)))
+                j, math.pi / math.sin(math.pi * rho) * s))
         for x in _LAPLACE_XS:
             records.append(_two_sided(
                 "laplace_transform", mid, {"x": x},
                 _laplace_lhs(rule, x),
-                float(model.log_derivative(x)),
-                _tol("laplace_transform", tolerances)))
+                float(model.log_derivative(x))))
         for z in _LOGREP_ZS:
             records.append(_two_sided(
                 "log_representation", mid, {"z": format_complex(z)},
                 _logrep_lhs(rule, z),
-                complex(model.value_ratio(z)),
-                _tol("log_representation", tolerances)))
+                complex(model.value_ratio(z))))
     else:
         for rho in rhos:
             res = log_ratio_integral(model, rho)
-            j = float(res.value)
-            rel = res.error_estimate / max(abs(j), _TINY)
-            records.append(VerificationRecord(
-                "log_ratio_finite", mid, {"rho": rho}, j, j,
-                float(res.error_estimate), float(rel),
-                _tol("log_ratio_finite", tolerances),
-                rel <= _tol("log_ratio_finite", tolerances)))
+            records.append(_estimate(
+                "log_ratio_finite", mid, {"rho": rho}, float(res.value),
+                float(res.error_estimate)))
         for x in _AXIS_XS:
             integral = quad_adaptive(model.log_derivative, 0.0, x,
                                      rel_tol=1e-10)
             records.append(_two_sided(
                 "log_representation_axis", mid, {"x": x},
-                math.exp(integral.value), float(model.value_ratio(x)),
-                _tol("log_representation_axis", tolerances)))
+                math.exp(integral.value), float(model.value_ratio(x))))
 
     if isinstance(model, BesselIModel):
-        records.extend(_adjudication_records(model, tolerances))
+        records.extend(_adjudication_records(model))
     if isinstance(model, AiryPairModel):
-        records.extend(_pair_derivative_records(model, tolerances))
+        records.extend(_pair_derivative_records(model))
     records.sort(key=VerificationRecord.sort_key)
     return records
 
@@ -438,19 +438,17 @@ def _fuzz_scan(seed: int) -> tuple[float, float, float]:
     return float(lhs[k]), float(rhs[k]), float(gaps[k])
 
 
-def _fuzz_record(model_id, seed, tolerances) -> VerificationRecord:
+def _fuzz_record(model_id, seed) -> VerificationRecord:
     """|1 - e^-z| <= (1 - e^-Re z)/cos(arg z) over seeded points in the
     open right half-plane."""
     seed = int(seed)
     return _one_sided(
         "elementary_exp_inequality", model_id,
-        {"points": _FUZZ_POINTS, "seed": seed}, *_fuzz_scan(seed),
-        _tol("elementary_exp_inequality", tolerances))
+        {"points": _FUZZ_POINTS, "seed": seed}, *_fuzz_scan(seed))
 
 
 def run_inequality_suite(model: FunctionModel, grid: GridSpec | None = None,
-                         seed: int = 0,
-                         tolerances: dict | None = None) -> list:
+                         seed: int = 0) -> list:
     """The bound chain over the polar grid, plus two global sanity checks.
 
     Per admissible (z = r e^{i theta}, rho entry): a lower-chain record
@@ -467,10 +465,6 @@ def run_inequality_suite(model: FunctionModel, grid: GridSpec | None = None,
     grid = grid or GridSpec.default()
     records = []
     mid_id = model.model_id
-    tol_lower = _tol("chain_lower", tolerances)
-    tol_upper = _tol("chain_upper", tolerances)
-    tol_tight = _tol("chain_tightness", tolerances)
-    tol_angle = _tol("angle_monotonicity", tolerances)
 
     for token in grid.rhos:
         policy_exponents: dict[float, list] = {}
@@ -490,14 +484,14 @@ def run_inequality_suite(model: FunctionModel, grid: GridSpec | None = None,
                                       (rep.lower - rep.mid) / max(rep.mid, _TINY))
                 records.append(_one_sided(
                     "chain_lower", mid_id, inputs, rep.lower, rep.mid,
-                    lower_violation, tol_lower))
+                    lower_violation))
                 records.append(_one_sided(
                     "chain_upper", mid_id, inputs, rep.mid, rep.bound,
-                    (rep.mid - rep.bound) / max(rep.bound, _TINY), tol_upper))
+                    (rep.mid - rep.bound) / max(rep.bound, _TINY)))
                 records.append(_one_sided(
                     "chain_tightness", mid_id, inputs,
                     rep.exponent_intermediate, rep.exponent_thm,
-                    rep.exponent_intermediate - rep.exponent_thm, tol_tight))
+                    rep.exponent_intermediate - rep.exponent_thm))
                 by_abs_angle.setdefault(abs(theta), rep.exponent_thm)
             if by_abs_angle:
                 policy_exponents[r] = sorted(by_abs_angle.items())
@@ -511,9 +505,9 @@ def run_inequality_suite(model: FunctionModel, grid: GridSpec | None = None,
                 "angle_monotonicity", mid_id,
                 {"r": r, "rho_policy": token if isinstance(token, str) else "fixed",
                  "rho": token if not isinstance(token, str) else None},
-                min(exponents), max(exponents), worst, tol_angle))
+                min(exponents), max(exponents), worst))
 
-    records.append(_fuzz_record(mid_id, seed, tolerances))
+    records.append(_fuzz_record(mid_id, seed))
     records.sort(key=VerificationRecord.sort_key)
     return records
 
@@ -523,8 +517,7 @@ def run_inequality_suite(model: FunctionModel, grid: GridSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
-def run_monotonicity_suite(model: FunctionModel,
-                           tolerances: dict | None = None) -> list:
+def run_monotonicity_suite(model: FunctionModel) -> list:
     """Finite consequences of complete monotonicity along the positive axis.
 
     derivative_modulus_bound: |(f'/f)^(n)(z)| <= (-1)^n (f'/f)^(n)(Re z)
@@ -539,10 +532,6 @@ def run_monotonicity_suite(model: FunctionModel,
     records = []
     mid_id = model.model_id
     zs = model.zeros()
-    tol_deriv = _tol("derivative_modulus_bound", tolerances)
-    tol_power = _tol("negative_power_monotone", tolerances)
-    tol_convex = _tol("squared_modulus_convexity", tolerances)
-    tol_radial = _tol("squared_modulus_radial", tolerances)
 
     for z in _MONO_ZS:
         for n in range(4):
@@ -552,7 +541,7 @@ def run_monotonicity_suite(model: FunctionModel,
             records.append(_one_sided(
                 "derivative_modulus_bound", mid_id,
                 {"z": format_complex(z), "n": n}, lhs, rhs,
-                (lhs - rhs) / max(rhs, _TINY), tol_deriv))
+                (lhs - rhs) / max(rhs, _TINY)))
 
     for z in _MONO_ZS:
         vr_z = abs(complex(model.value_ratio(z)))
@@ -567,7 +556,7 @@ def run_monotonicity_suite(model: FunctionModel,
                 records.append(_one_sided(
                     "negative_power_monotone", mid_id,
                     {"z": format_complex(z), "beta": beta, "n": n},
-                    lhs, rhs, (lhs - rhs) / max(rhs, _TINY), tol_power))
+                    lhs, rhs, (lhs - rhs) / max(rhs, _TINY)))
 
     h = _JENSEN_H
     for x in _JENSEN_XS:
@@ -579,12 +568,12 @@ def run_monotonicity_suite(model: FunctionModel,
             records.append(_one_sided(
                 "squared_modulus_convexity", mid_id,
                 {"x": x, "y": y, "h": h}, g[1], g[1] + second,
-                -second / scale, tol_convex))
+                -second / scale))
             radial = y * (g[2] - g[0]) / (2.0 * h)
             records.append(_one_sided(
                 "squared_modulus_radial", mid_id,
                 {"x": x, "y": y, "h": h}, g[0], g[2],
-                -radial / scale, tol_radial))
+                -radial / scale))
 
     records.sort(key=VerificationRecord.sort_key)
     return records
@@ -595,8 +584,7 @@ def run_monotonicity_suite(model: FunctionModel,
 # ---------------------------------------------------------------------------
 
 
-def run_all(models, grid: GridSpec | None = None, seed: int = 0,
-            tolerances: dict | None = None) -> dict:
+def run_all(models, grid: GridSpec | None = None, seed: int = 0) -> dict:
     """All three suites over a model list; returns the aggregate summary.
 
     The summary dict carries counts {"total", "passed", "failed"}, the worst
@@ -606,10 +594,9 @@ def run_all(models, grid: GridSpec | None = None, seed: int = 0,
     grid = grid or GridSpec.default()
     records: list[VerificationRecord] = []
     for model in models:
-        records.extend(run_identity_suite(model, tolerances=tolerances))
-        records.extend(run_inequality_suite(model, grid, seed=seed,
-                                            tolerances=tolerances))
-        records.extend(run_monotonicity_suite(model, tolerances=tolerances))
+        records.extend(run_identity_suite(model))
+        records.extend(run_inequality_suite(model, grid, seed=seed))
+        records.extend(run_monotonicity_suite(model))
     records.sort(key=VerificationRecord.sort_key)
     return {**summarize_records(records), "records": records}
 
@@ -631,6 +618,8 @@ def summarize_records(records) -> dict:
 
 
 def records_to_jsonl(records) -> str:
+    """One sorted-key JSON object per record and line.  Strict JSON: a
+    non-finite float that reached the encoder raises ValueError."""
     lines = [_JSON_ENCODER.encode(rec.to_json_dict()) for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -647,7 +636,7 @@ def records_to_csv(records) -> str:
         writer.writerow([
             d["check_name"], d["model_id"],
             json.dumps(d["inputs"], sort_keys=True),
-            d["lhs"], d["rhs"], repr(d["abs_error"]), repr(d["rel_error"]),
-            repr(d["tolerance"]), str(d["pass"]).lower(),
+            d["lhs"], d["rhs"], d["abs_error"], d["rel_error"],
+            d["tolerance"], str(d["pass"]).lower(),
         ])
     return buf.getvalue()

@@ -601,7 +601,9 @@ class FunctionModel:
     zeros_authoritative marks whether the zero table is complete enough for
     zero-based identity checks (the K-in-the-order adapter carries only a
     best-effort head and sets it False).  domain_radius_max caps |z| for
-    value_ratio where a series evaluation limits the usable disc.
+    value_ratio; each adapter sets it inside the disc where its values stay
+    finite in floating point (Bessel through ive, Airy through airye,
+    k-order through its trapezoidal integral).
     """
 
     model_id: str = "abstract"

@@ -1,14 +1,20 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import argparse
 import csv
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from g0bound.cli import main, parse_complex
+from g0bound import verify
+from g0bound.cli import _build_parser, main, parse_complex
 from g0bound.errors import DomainError
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -122,14 +128,16 @@ def test_zeros_count_exceeds_head(capsys):
     assert "exposes 5 zeros" in err
 
 
-def test_identity_exit_codes(capsys):
+def test_identity_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(["identity", "--model", "toy-square",
                             "--rho", "0.6,0.9"], capsys)
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("summary: total=")
 
-    code, out, _ = run_cli(["identity", "--model", "toy-square",
-                            "--tol.laplace_transform=1e-300"], capsys)
+    # a failing record exits 3
+    with monkeypatch.context() as m:
+        m.setitem(verify.TOLERANCES, "laplace_transform", 1e-300)
+        code, out, _ = run_cli(["identity", "--model", "toy-square"], capsys)
     assert code == 3
     assert any(line.startswith("FAIL laplace_transform")
                for line in out.splitlines())
@@ -190,9 +198,12 @@ def test_usage_errors_exit_two(capsys):
                             "--rho", "1.2"], capsys)
     assert code == 2
 
-    code, _, err = run_cli(["verify", "--tol.nope=1"], capsys)
-    assert code == 2
-    assert "unknown tolerance" in err
+    # tolerances are fixed per check: --tol.<name> is not a flag
+    for flag in ("--tol.laplace_transform=1", "--tol.nope=1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol." in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as exc:
         main(["zeros", "--model", "unknown-model"])
@@ -210,6 +221,55 @@ def test_airy_pair_beyond_the_old_cap(capsys):
                             "--z", "1000+100i"], capsys)
     assert code == 0
     assert "chain_ok     true" in out
+
+
+def _strict_json(line):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_bound_json_writes_null_for_an_overflowed_bound(capsys):
+    # exp(exponent_thm) overflows at exponent 1,582: bound is null, the
+    # exponent carries its log
+    code, out, _ = run_cli(["bound", "--model", "airy-pair", "--z",
+                            "1000+100i", "--output", "json"], capsys)
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["bound"] is None
+    assert payload["exponent_thm"] > 709.0
+    assert payload["chain_ok"] is True
+
+
+def test_verify_jsonl_writes_null_for_non_finite_values(capsys):
+    code, out, _ = run_cli(["verify", "--model", "toy-square", "--radii",
+                            "2000", "--angles", "0.3", "--output", "jsonl"],
+                           capsys)
+    assert code == 0
+    lines = [_strict_json(line) for line in out.splitlines()]
+    assert lines[-1]["summary"]["failed"] == 0
+    upper = [r for r in lines[:-1] if r["check_name"] == "chain_upper"]
+    assert upper and all(r["rhs"] is None for r in upper)
+
+
+def _parser_flags():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = set(parser._option_string_actions)
+    for p in sub.choices.values():
+        flags |= set(p._option_string_actions)
+    return flags
+
+
+def test_readme_flags_are_parser_flags():
+    # from the model table on; Install and Tests name pip and pytest flags
+    text = README.read_text().split("\n## Models", 1)[1]
+    named = {m.split("=")[0]
+             for m in re.findall(r"(?<![\w-])--[A-Za-z][\w.=-]*", text)}
+    assert {"--model", "--z", "--rho", "--radii", "--count"} <= named
+    assert named <= _parser_flags()
 
 
 def test_timing_goes_to_stderr(capsys):

@@ -117,15 +117,16 @@ def test_integrate_singular_domain():
 
 
 def test_find_root_bracketed():
-    root = find_root_bracketed(math.cos, 1.0, 2.0)
+    (root,) = find_root_bracketed(np.cos, np.array([1.0]), np.array([2.0]))
     assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_find_root_bracketed_requires_sign_change():
     with pytest.raises(BracketError):
-        find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+        find_root_bracketed(lambda x: x * x + 1.0, np.array([-1.0]),
+                            np.array([1.0]))
     with pytest.raises(BracketError):
-        find_root_bracketed(math.cos, 2.0, 1.0)
+        find_root_bracketed(np.cos, np.array([2.0]), np.array([1.0]))
 
 
 def test_find_root_bracketed_array_of_brackets():
@@ -156,8 +157,9 @@ def test_find_root_bracketed_broadcasts_and_keeps_shape():
 
 
 def test_find_root_bracketed_root_at_an_end():
-    assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
-    assert find_root_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    one, zero = np.array([1.0]), np.array([0.0])
+    assert list(find_root_bracketed(lambda x: x, zero, one)) == [0.0]
+    assert list(find_root_bracketed(lambda x: x - 1.0, zero, one)) == [1.0]
     roots = find_root_bracketed(lambda x: x - 2.0, np.array([1.0, 2.0]),
                                 np.array([2.0, 3.0]))
     assert list(roots) == [2.0, 2.0]

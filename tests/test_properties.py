@@ -1,6 +1,7 @@
 """Hypothesis properties, drawn deterministically (profile in conftest.py)."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from g0bound.bessel import BesselIModel, bessel_j_squared_zeros  # noqa: E402
-from g0bound.bound import log_ratio_integral  # noqa: E402
+from g0bound.bound import evaluate_chain, log_ratio_integral  # noqa: E402
 from g0bound.kbessel import k_order_eval, k_order_log_derivative  # noqa: E402
+from g0bound.models import build_model  # noqa: E402
 from g0bound.verify import run_identity_suite  # noqa: E402
 from g0bound.zeros import (ZeroSequence, phi_vec,  # noqa: E402
                            reciprocal_power_zero_sum, sup_weighted_phi,
@@ -167,3 +169,45 @@ def test_k_order_log_derivative_positive_and_nonincreasing(a, xs):
     vals = k_order_log_derivative(a, np.array(xs))
     assert np.all(vals > 0.0)
     assert np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-13))
+
+
+_CHAIN_MODELS = (("toy-square", {}), ("bessel-i", {"nu": -0.9}),
+                 ("bessel-i", {"nu": 0.0}), ("bessel-i", {"nu": 2.9}),
+                 ("airy-pair", {}), ("k-order", {"a": 1.0}))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_model(k):
+    name, params = _CHAIN_MODELS[k]
+    return build_model(name, **params)
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _log_uniform(lo, hi):
+    return _UNIT.map(lambda u: lo * (hi / lo) ** u)
+
+
+_THETA_MAX = 0.5 * math.pi * (1.0 - 1e-9)
+# |arg z| uniform up to the edge, or log-uniform down to 1e-12 next to the axis
+_ABS_THETA = st.one_of(_UNIT.map(lambda u: u * _THETA_MAX),
+                       _log_uniform(1e-12, _THETA_MAX))
+# a share of (rho0, 1): uniform, or log-uniform down to 1e-12 from either end
+_RHO_SHARE = st.one_of(_UNIT, _log_uniform(1e-12, 0.5),
+                       _log_uniform(1e-12, 0.5).map(lambda d: 1.0 - d))
+
+
+@pytest.mark.parametrize("k", range(len(_CHAIN_MODELS)))
+@hypothesis.given(u_r=_UNIT, abs_theta=_ABS_THETA, sign=st.sampled_from((1, -1)),
+                  u_rho=_RHO_SHARE)
+def test_chain_holds_over_z_and_rho(k, u_r, abs_theta, sign, u_rho):
+    # 1 <= |f(Re z)/f(0)| <= |f(z)/f(0)| <= exp(E(z, rho)) for |z| drawn
+    # log-uniform in [1e-3, min(domain cap, 1e3)], |arg z| < pi/2 and rho
+    # anywhere in (rho0, 1)
+    model = _chain_model(k)
+    r = 1e-3 * (min(model.domain_radius_max, 1e3) / 1e-3) ** u_r
+    rho = model.order_rho0 + u_rho * (1.0 - model.order_rho0)
+    hypothesis.assume(model.order_rho0 < rho < 1.0)
+    rep = evaluate_chain(model, cmath.rect(r, sign * abs_theta), rho)
+    assert rep.chain_ok, rep

@@ -1,5 +1,7 @@
 """Verification harness: record structure, suites, serialization."""
 
+import csv
+import io
 import json
 import math
 
@@ -8,7 +10,7 @@ import pytest
 from g0bound import numerics, verify
 from g0bound.errors import ConvergenceError, DomainError
 from g0bound.models import default_fleet
-from g0bound.verify import (DEFAULT_TOLERANCES, GridSpec, VerificationRecord,
+from g0bound.verify import (TOLERANCES, GridSpec, VerificationRecord,
                             format_complex, records_to_csv, records_to_jsonl,
                             run_all, run_identity_suite, run_inequality_suite,
                             run_monotonicity_suite)
@@ -190,8 +192,10 @@ def test_identity_suite_degrades_without_authoritative_zeros(korder):
     assert all(r.passed for r in recs)
 
 
-def test_tolerance_override_forces_failure(toy):
-    recs = run_identity_suite(toy, tolerances={"mellin_transform": 1e-300})
+def test_tolerance_override_forces_failure(toy, monkeypatch):
+    # a record takes its tolerance from the table, by its check name
+    monkeypatch.setitem(TOLERANCES, "mellin_transform", 1e-300)
+    recs = run_identity_suite(toy)
     mellin = [r for r in recs if r.check_name == "mellin_transform"]
     assert all(not r.passed for r in mellin)
     assert all(r.tolerance == 1e-300 for r in mellin)
@@ -284,10 +288,21 @@ def test_csv_shape(toy):
     assert records_to_csv([]) .startswith("check_name,")
 
 
+def test_csv_errors_are_plain_floats(bessel_half):
+    # the adjudication records' rel_error is a numpy float; its column must
+    # still read as a number, not as np.float64(...)
+    rows = list(csv.DictReader(io.StringIO(
+        records_to_csv(run_identity_suite(bessel_half)))))
+    assert any(r["check_name"] == "axis_integrand_adjudication" for r in rows)
+    for row in rows:
+        for key in ("abs_error", "rel_error", "tolerance"):
+            float(row[key])
+
+
 def test_default_tolerances_cover_all_checks(toy, bessel_half, airy, korder):
     seen = set()
     for model in (toy, bessel_half, airy, korder):
         seen |= {r.check_name for r in run_identity_suite(model)}
         seen |= {r.check_name for r in run_monotonicity_suite(model)}
     seen |= {r.check_name for r in run_inequality_suite(toy, SMALL_GRID)}
-    assert seen <= set(DEFAULT_TOLERANCES)
+    assert seen == set(TOLERANCES)
