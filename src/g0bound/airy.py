@@ -32,6 +32,7 @@ AI_PRIME_ZERO = -0.2588194037928068  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
 DOMAIN_MAX_ABS = 5e3      # |z| cap of airy_pair_eval and of the model
 _W_MAX = 8.5            # |w| cap for the Maclaurin series (cancellation)
 _TAIL_C = (1.5 * math.pi) ** (4.0 / 3.0)
+_HEAD_COUNT = 200       # explicit zeros of AiryPairModel
 
 
 def airy_ai_maclaurin(w):
@@ -91,20 +92,19 @@ def airy_squared_zeros(count):
 
 
 class AiryPairModel(FunctionModel):
-    """f(z) = Ai(i sqrt z) Ai(-i sqrt z): order 3/4, zeros at t_n^2."""
+    """f(z) = Ai(i sqrt z) Ai(-i sqrt z): zeros at t_n^2, 200 of them in the
+    head under the tail (3 pi (4n-1)/8)^(4/3) of order 3/4."""
 
-    def __init__(self, head_count=200):
+    def __init__(self):
         self.model_id = "airy-pair"
-        self.order_rho0 = 0.75
         self.f0 = AI_ZERO ** 2
         self.domain_radius_max = DOMAIN_MAX_ABS
         self.identity_rhos = (0.8, 0.875, 0.95)
-        head = airy_squared_zeros(head_count)
-        self._zs = ZeroSequence(head, 4.0 / 3.0, _TAIL_C, order_rho0=0.75,
-                                tail_offset=-0.25)
+        self._zs = ZeroSequence(self._compute_zeros(_HEAD_COUNT), 4.0 / 3.0,
+                                _TAIL_C, tail_offset=-0.25)
 
-    def zeros(self):
-        return self._zs
+    def _compute_zeros(self, count):
+        return airy_squared_zeros(count)
 
     def value_ratio(self, z):
         zc = complex(z)

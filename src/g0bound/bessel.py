@@ -30,6 +30,7 @@ DOMAIN_MAX_ABS = 1e4       # |z| cap of bessel_i_scaled and of the model
 _SERIES_MAX_ABS = 4.0      # |z| at or below which the power series is summed
 _SERIES_STOP = 1e-17       # remainder bound, relative to the largest term
 _SERIES_MAX_TERMS = 5000
+_HEAD_COUNT = 200          # explicit zeros of BesselIModel
 
 
 def _series_f(nu, z):
@@ -138,25 +139,24 @@ def bessel_j_squared_zeros(nu, count):
 
 
 class BesselIModel(FunctionModel):
-    """f(z) = I_nu(sqrt z)/(sqrt z/2)^nu as a negative-zeros product model."""
+    """f(z) = I_nu(sqrt z)/(sqrt z/2)^nu as a negative-zeros product model:
+    200 head zeros under a tail of order 1/2."""
 
-    def __init__(self, nu, head_count=200):
+    def __init__(self, nu):
         if not nu > -1.0:
             raise DomainError(f"need nu > -1, got {nu!r}")
         self.nu = float(nu)
         self.model_id = f"bessel-i(nu={self.nu:g})"
-        self.order_rho0 = 0.5
         self.f0 = 1.0 / math.gamma(self.nu + 1.0)
         self.domain_radius_max = DOMAIN_MAX_ABS
         self.identity_rhos = (0.55, 0.75, 0.9)
-        head = bessel_j_squared_zeros(self.nu, head_count)
         # j_{nu,n}^2 = beta^2 + (1-4nu^2)/4 + O(beta^-2), beta = (n+nu/2-1/4)pi
-        self._zs = ZeroSequence(head, 2.0, math.pi ** 2, order_rho0=0.5,
-                                tail_offset=0.5 * self.nu - 0.25,
+        self._zs = ZeroSequence(self._compute_zeros(_HEAD_COUNT), 2.0,
+                                math.pi ** 2, tail_offset=0.5 * self.nu - 0.25,
                                 tail_shift=0.25 * (1.0 - 4.0 * self.nu ** 2))
 
-    def zeros(self):
-        return self._zs
+    def _compute_zeros(self, count):
+        return bessel_j_squared_zeros(self.nu, count)
 
     def value_ratio(self, z):
         return bessel_i_scaled(self.nu, z) / self.f0

@@ -101,9 +101,6 @@ class BoundReport:
     `lower` and `mid` are the measured ratios |f(Re z)/f(0)| and |f(z)/f(0)|,
     `bound` = exp(exponent_thm) the certified ceiling, `slack` how much
     head-room the ceiling leaves over the measured value in log scale.
-    `j_source` records which route produced J (always "quadrature"; the
-    zero-sum identity serves as an independent cross-check, never as the
-    producer).
     """
 
     z: complex
@@ -116,7 +113,6 @@ class BoundReport:
     mid: float
     chain_ok: bool
     slack: float
-    j_source: str = "quadrature"
 
     def to_json_dict(self) -> dict:
         """The serialized report; a value that is not finite is None (bound
@@ -136,7 +132,6 @@ class BoundReport:
             "mid": num(self.mid),
             "chain_ok": bool(self.chain_ok),
             "slack": num(self.slack),
-            "j_source": self.j_source,
         }
 
 

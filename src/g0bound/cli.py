@@ -56,7 +56,7 @@ def parse_complex(text: str) -> complex:
 
 
 # the model-parameter flags, as argparse attributes
-_MODEL_PARAMS = ("nu", "a", "head_count")
+_MODEL_PARAMS = ("nu", "a")
 
 
 def _model_from_args(args):
@@ -166,8 +166,8 @@ def cmd_verify(args) -> int:
     if args.model == "all":
         for attr in _MODEL_PARAMS:
             if getattr(args, attr) is not None:
-                raise DomainError(f"--{attr.replace('_', '-')} needs a "
-                                  "specific --model, not 'all'")
+                raise DomainError(f"--{attr} needs a specific --model, "
+                                  "not 'all'")
         models = default_fleet()
     else:
         models = [_model_from_args(args)]
@@ -178,17 +178,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    if args.model == "k-order" and args.head_count is None:
-        args.head_count = max(8, min(args.count, 32))
     model = _model_from_args(args)
-    head = model.zeros().head
-    if args.count < 1:
-        raise DomainError("--count must be at least 1")
-    if args.count > head.size:
-        raise DomainError(
-            f"model {model.model_id!r} exposes {head.size} zeros, "
-            f"requested {args.count}")
-    zeros = head[:args.count]
+    zeros = model.leading_zeros(args.count)
     running = (1.0 / zeros).cumsum()
     if args.output == "json":
         print(_dumps({
@@ -234,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="order parameter (bessel-i only)")
         p.add_argument("--a", type=float, default=None,
                        help="argument parameter (k-order only)")
-        p.add_argument("--head-count", type=int, default=None,
-                       help="explicitly enumerated leading zeros")
 
     p_bound = sub.add_parser("bound", help="bound report at one point")
     add_model_flags(p_bound)

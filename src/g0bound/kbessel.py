@@ -64,6 +64,8 @@ _SMALL_X = 1e-4
 _LOGDERIV_A_MIN = 0.1
 
 _HEAD_MAX = 32
+# explicit zeros of KOrderModel; the last one sets its matched tail
+_HEAD_COUNT = 8
 
 
 def _require_a(a: float) -> float:
@@ -373,23 +375,20 @@ class KOrderModel(FunctionModel):
     neither as certificates nor as identity cross-checks.
     """
 
-    order_rho0 = 0.5
     zeros_authoritative = False
     domain_radius_max = 1e4
     identity_rhos = (0.55, 0.75, 0.9)
 
-    def __init__(self, a: float, head_count: int = 8):
+    def __init__(self, a: float):
         self.a = _require_a(a)
-        head_count = int(head_count)
-        if not 1 <= head_count <= _HEAD_MAX:
-            raise DomainError(
-                f"head_count must be in [1, {_HEAD_MAX}], got {head_count}")
-        self.head_count = head_count
-        head = k_order_zeros(self.a, head_count)
-        matched_c = head[-1] / head_count ** 2
-        self._zeros = ZeroSequence(head, 2.0, matched_c, order_rho0=0.5)
+        head = self._compute_zeros(_HEAD_COUNT)
+        matched_c = head[-1] / _HEAD_COUNT ** 2
+        self._zs = ZeroSequence(head, 2.0, matched_c)
         self.f0 = k_order_eval(self.a, 0.0)
         self.model_id = f"k-order(a={self.a:g})"
+
+    def _compute_zeros(self, count):
+        return k_order_zeros(self.a, count)
 
     def value_ratio(self, z):
         val = k_order_eval(self.a, z)
@@ -397,6 +396,3 @@ class KOrderModel(FunctionModel):
 
     def log_derivative(self, x):
         return k_order_log_derivative(self.a, x)
-
-    def zeros(self) -> ZeroSequence:
-        return self._zeros

@@ -17,7 +17,7 @@ from .zeros import FunctionModel, ZeroSequence, model_from_zeros
 
 MODEL_NAMES = ("toy-square", "bessel-i", "airy-pair", "k-order")
 
-TOY_HEAD_DEFAULT = 10_000
+TOY_HEAD_COUNT = 10_000
 
 # fleet parameter sweep: one toy sequence, Bessel orders spanning the
 # admissible nu > -1 range, the Airy pair, and three K arguments
@@ -25,22 +25,19 @@ FLEET_BESSEL_NUS = (-0.5, 0.0, 0.5, 2.0)
 FLEET_K_ARGS = (0.5, 1.0, 2.0)
 
 
-def toy_square_model(head_count: int = TOY_HEAD_DEFAULT) -> FunctionModel:
+def toy_square_model() -> FunctionModel:
     """The z_n = n^2 product sinh(pi sqrt z)/(pi sqrt z): exact tail model,
-    closed forms for everything; the calibration member of the fleet."""
-    head_count = int(head_count)
-    if head_count < 1:
-        raise DomainError("head_count must be positive")
-    n = np.arange(1.0, head_count + 1.0)
-    zs = ZeroSequence(n * n, 2.0, 1.0, order_rho0=0.5)
-    return model_from_zeros(zs, 1.0, model_id="toy-square")
+    closed forms for everything; the calibration member of the fleet.  Its
+    10,000 head zeros are all it lists."""
+    n = np.arange(1.0, TOY_HEAD_COUNT + 1.0)
+    return model_from_zeros(ZeroSequence(n * n, 2.0, 1.0), 1.0,
+                            model_id="toy-square")
 
 
-def build_model(name: str, nu: float | None = None, a: float | None = None,
-                head_count: int | None = None) -> FunctionModel:
+def build_model(name: str, nu: float | None = None,
+                a: float | None = None) -> FunctionModel:
     """Construct a model from its selection string and optional parameters:
-    nu for bessel-i, a for k-order, head_count for every model (airy-pair
-    takes no parameter of its own).
+    nu for bessel-i, a for k-order (airy-pair and toy-square take none).
 
     Unused parameters for the selected model are rejected, so a typo like
     --nu on the Airy model fails loudly instead of being ignored.
@@ -53,19 +50,18 @@ def build_model(name: str, nu: float | None = None, a: float | None = None,
             raise DomainError(
                 f"model '{key}' does not take {', '.join(extras)}")
 
-    kwargs = {} if head_count is None else {"head_count": int(head_count)}
     if key == "toy-square":
         reject(nu=nu, a=a)
-        return toy_square_model(**kwargs)
+        return toy_square_model()
     if key == "bessel-i":
         reject(a=a)
-        return BesselIModel(0.0 if nu is None else float(nu), **kwargs)
+        return BesselIModel(0.0 if nu is None else float(nu))
     if key == "airy-pair":
         reject(nu=nu, a=a)
-        return AiryPairModel(**kwargs)
+        return AiryPairModel()
     if key == "k-order":
         reject(nu=nu)
-        return KOrderModel(1.0 if a is None else float(a), **kwargs)
+        return KOrderModel(1.0 if a is None else float(a))
     raise DomainError(
         f"unknown model '{name}'; choose one of {', '.join(MODEL_NAMES)}")
 

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .errors import DivergenceError, DomainError, PoleZeroError
+from .errors import (DivergenceError, DomainError, EvaluationOverflowError,
+                     PoleZeroError)
 from .numerics import gamma
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
 # terms with z_n*t exceeding the leading exponent by this much are below
 # 1e-18 of the accumulated head sum and are dropped
 _PHI_EXPONENT_WINDOW = 46.0
+# log of the largest float: product_eval's overflow threshold
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # _head_sums takes at most this many head terms per block (a 0.5 MB
 # temporary for real terms)
 _BLOCK_TERMS = 2 ** 16
@@ -80,8 +83,10 @@ class ZeroSequence:
     tail_shift     -- additive constant in the tail model (default 0); the
                       squared Bessel zeros carry a (1 - 4 nu^2)/4 constant
                       on top of the pure power law
-    order_rho0     -- order of the associated entire function, 1/p for a
-                      power-law tail, 0 for head-only sequences
+
+    order_rho0, the convergence exponent of the zeros and so the order of the
+    associated entire function, is derived: 1/p with a tail, 0 for a
+    head-only sequence.
 
     The zeros and tail model are immutable after construction.  The only
     mutations are value-idempotent memos filled on first use: the tail power
@@ -92,7 +97,7 @@ class ZeroSequence:
     """
 
     def __init__(self, head: Sequence[float], tail_exponent: float,
-                 tail_coefficient: float | None, order_rho0: float | None = None,
+                 tail_coefficient: float | None,
                  tail_offset: float = 0.0, tail_shift: float = 0.0):
         arr = np.array(head, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
@@ -106,23 +111,13 @@ class ZeroSequence:
         if tail_coefficient is not None and not (tail_coefficient > 0.0):
             raise DomainError("tail_coefficient must be positive (or None)")
 
-        if order_rho0 is None:
-            order_rho0 = 0.0 if tail_coefficient is None else 1.0 / tail_exponent
-        if tail_coefficient is not None:
-            if abs(order_rho0 * tail_exponent - 1.0) > 1e-9:
-                raise DomainError(
-                    "order_rho0 must equal 1/tail_exponent (got "
-                    f"{order_rho0!r} with p = {tail_exponent!r})")
-        elif not (0.0 <= order_rho0 < 1.0):
-            raise DomainError("order_rho0 must lie in [0, 1)")
-
         self.head = arr
         self.head.setflags(write=False)
         self.tail_exponent = float(tail_exponent)
         self.tail_coefficient = None if tail_coefficient is None else float(tail_coefficient)
         self.tail_offset = float(tail_offset)
         self.tail_shift = float(tail_shift)
-        self.order_rho0 = float(order_rho0)
+        self.order_rho0 = 1.0 / self.tail_exponent if self.has_tail else 0.0
         self._power_memo: dict[float, tuple[float, float]] = {}
         self._suffix_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._head_moments: np.ndarray | None = None
@@ -469,7 +464,8 @@ def product_eval(zs: ZeroSequence, z: complex) -> complex:
     Head factors are summed in the log; the tail uses the fourth-order
     expansion log(1+z/z_n) ~ z/z_n - z^2/(2 z_n^2) + z^3/(3 z_n^3)
     - z^4/(4 z_n^4) with the EM tail sums.  Raises PoleZeroError at an
-    exact zero.
+    exact zero and EvaluationOverflowError where |f(z)/f(0)| passes the
+    float range.
     """
     z = complex(z)
     if z == 0.0:
@@ -483,7 +479,12 @@ def product_eval(zs: ZeroSequence, z: complex) -> complex:
         for m in (1, 2, 3, 4):
             sign = 1.0 if m % 2 else -1.0
             log_tail += sign * z ** m / m * zs.tail_power_sum(float(m))
-    return complex(np.exp(log_head + log_tail))
+    log_value = log_head + log_tail
+    if log_value.real > _LOG_FLOAT_MAX:
+        raise EvaluationOverflowError(
+            f"f(z)/f(0) overflows at z = {z!r}: log|f(z)/f(0)| = "
+            f"{log_value.real:.1f} passes the float range")
+    return complex(np.exp(log_value))
 
 
 def phi_vec(zs: ZeroSequence, t):
@@ -596,7 +597,9 @@ class FunctionModel:
 
     Required members: value_ratio(z) -> complex for f(z)/f(0);
     log_derivative(x) -> f'(x)/f(x) on the positive axis, accepting scalars
-    or ndarrays; zeros() -> ZeroSequence; order_rho0; f0 = f(0) > 0.
+    or ndarrays; f0 = f(0) > 0; and the ZeroSequence _zs, built once at
+    construction, which zeros() returns.  order_rho0 is read from it: a
+    model's order is the convergence exponent of its zeros.
 
     zeros_authoritative marks whether the zero table is complete enough for
     zero-based identity checks (the K-in-the-order adapter carries only a
@@ -607,11 +610,11 @@ class FunctionModel:
     """
 
     model_id: str = "abstract"
-    order_rho0: float = 0.0
     f0: float = 1.0
     zeros_authoritative: bool = True
     domain_radius_max: float = math.inf
     identity_rhos: tuple = (0.6, 0.75, 0.9)
+    _zs: ZeroSequence
 
     def value_ratio(self, z: complex) -> complex:
         raise NotImplementedError
@@ -620,7 +623,27 @@ class FunctionModel:
         raise NotImplementedError
 
     def zeros(self) -> ZeroSequence:
-        raise NotImplementedError
+        return self._zs
+
+    @property
+    def order_rho0(self) -> float:
+        return self._zs.order_rho0
+
+    def leading_zeros(self, count: int) -> np.ndarray:
+        """z_1..z_count: the head's first `count` when the head holds them,
+        else _compute_zeros(count), the routine the head was built with."""
+        if count < 1:
+            raise DomainError(f"count must be at least 1, got {count}")
+        head = self._zs.head
+        if count <= head.size:
+            return head[:count]
+        return np.asarray(self._compute_zeros(count), dtype=float)
+
+    def _compute_zeros(self, count: int):
+        """The first `count` zeros; a model without a zero routine has only
+        its head."""
+        raise DomainError(f"model {self.model_id!r} exposes "
+                          f"{self._zs.head_count} zeros, requested {count}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.model_id}>"
@@ -635,11 +658,7 @@ class ZeroProductModel(FunctionModel):
             raise DomainError("f0 must be positive")
         self._zs = zs
         self.f0 = float(f0)
-        self.order_rho0 = zs.order_rho0
         self.model_id = model_id
-
-    def zeros(self) -> ZeroSequence:
-        return self._zs
 
     def value_ratio(self, z: complex) -> complex:
         return product_eval(self._zs, z)

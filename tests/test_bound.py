@@ -212,7 +212,6 @@ def test_evaluate_chain_toy_complex(toy):
     assert 1.0 <= rep.lower <= rep.mid <= rep.bound
     assert rep.exponent_intermediate <= rep.exponent_thm + 1e-12
     assert rep.slack > 0.0
-    assert rep.j_source == "quadrature"
 
 
 def test_evaluate_chain_report_serialization(toy):
@@ -220,7 +219,7 @@ def test_evaluate_chain_report_serialization(toy):
     d = rep.to_json_dict()
     assert d["z"] == {"re": 2.0, "im": 0.5}
     assert set(d) == {"z", "rho", "J", "exponent_thm", "exponent_intermediate",
-                      "bound", "lower", "mid", "chain_ok", "slack", "j_source"}
+                      "bound", "lower", "mid", "chain_ok", "slack"}
     json.dumps(d)  # everything JSON-native
     assert all(type(d[k]) is float for k in
                ("rho", "J", "exponent_thm", "exponent_intermediate",

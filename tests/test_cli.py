@@ -11,6 +11,8 @@ import sys
 import pytest
 
 from g0bound import verify
+from g0bound.airy import airy_squared_zeros
+from g0bound.bessel import bessel_j_squared_zeros
 from g0bound.cli import _build_parser, main, parse_complex
 from g0bound.errors import DomainError
 
@@ -49,7 +51,6 @@ def test_bound_json_round_trip(capsys):
     assert payload["chain_ok"] is True
     assert payload["rho"] == 0.8
     assert payload["rho_policy"] == "given"
-    assert payload["j_source"] == "quadrature"
 
 
 def test_bound_csv(capsys):
@@ -58,13 +59,13 @@ def test_bound_csv(capsys):
     assert code == 0
     header, row = out.splitlines()
     assert header == ("J,bound,chain_ok,exponent_intermediate,exponent_thm,"
-                      "j_source,lower,mid,model_id,rho,rho_policy,slack,z")
+                      "lower,mid,model_id,rho,rho_policy,slack,z")
     # the dict-valued z is one JSON field, quoted with doubled quotes
     assert row.endswith(',"{""im"": 1.0, ""re"": 1.0}"')
     fields = next(csv.reader([row]))
-    assert len(fields) == 13
-    assert fields[8:11] == ["toy-square", "0.75", "given"]
-    assert json.loads(fields[12]) == {"im": 1.0, "re": 1.0}
+    assert len(fields) == 12
+    assert fields[7:10] == ["toy-square", "0.75", "given"]
+    assert json.loads(fields[11]) == {"im": 1.0, "re": 1.0}
 
 
 def test_bound_defaults_to_midpoint(capsys):
@@ -121,11 +122,24 @@ def test_zeros_k_order_grows_head(capsys):
     assert len(json.loads(out)["zeros"]) == 10
 
 
+@pytest.mark.parametrize("argv, routine", [
+    (["--model", "bessel-i", "--nu", "0.5", "--count", "250"],
+     lambda: bessel_j_squared_zeros(0.5, 250)),
+    (["--model", "airy-pair", "--count", "300"],
+     lambda: airy_squared_zeros(300)),
+])
+def test_zeros_count_past_the_head(capsys, argv, routine):
+    # past the 200-zero head, the routine that built it lists the zeros
+    code, out, _ = run_cli(["zeros", *argv, "--output", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["zeros"] == routine()
+
+
 def test_zeros_count_exceeds_head(capsys):
-    code, _, err = run_cli(["zeros", "--model", "toy-square", "--head-count",
-                            "5", "--count", "9"], capsys)
+    code, _, err = run_cli(["zeros", "--model", "toy-square", "--count",
+                            "10001"], capsys)
     assert code == 2
-    assert "exposes 5 zeros" in err
+    assert "exposes 10000 zeros" in err
 
 
 def test_identity_exit_codes(capsys, monkeypatch):
@@ -209,6 +223,17 @@ def test_usage_errors_exit_two(capsys):
         main(["zeros", "--model", "unknown-model"])
     assert exc.value.code == 2
 
+    # each model's zero head is fixed: --head-count is not a flag
+    for argv in (["bound", "--model", "toy-square", "--z", "1"],
+                 ["verify", "--model", "toy-square"],
+                 ["zeros", "--model", "k-order"],
+                 ["identity", "--model", "bessel-i"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--head-count", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --head-count" in err
+
     # the Airy model takes no cap: --z-max is not a flag
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--model", "airy-pair", "--z", "1", "--z-max", "30"])
@@ -242,6 +267,22 @@ def test_bound_json_writes_null_for_an_overflowed_bound(capsys):
     assert payload["chain_ok"] is True
 
 
+def test_zero_product_overflow_fails_loudly(capsys):
+    # the toy's f(x)/f(0) = sinh(pi sqrt x)/(pi sqrt x) leaves the float
+    # range near x = 5.1e4: a numeric failure, not a vacuous chain_ok
+    code, out, err = run_cli(["bound", "--model", "toy-square", "--z",
+                              "1000000", "--output", "json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "overflows" in err
+    code, out, err = run_cli(["verify", "--model", "toy-square", "--radii",
+                              "1e5", "--angles", "0.3", "--output", "jsonl"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_verify_jsonl_writes_null_for_non_finite_values(capsys):
     code, out, _ = run_cli(["verify", "--model", "toy-square", "--radii",
                             "2000", "--angles", "0.3", "--output", "jsonl"],
@@ -270,6 +311,14 @@ def test_readme_flags_are_parser_flags():
              for m in re.findall(r"(?<![\w-])--[A-Za-z][\w.=-]*", text)}
     assert {"--model", "--z", "--rho", "--radii", "--count"} <= named
     assert named <= _parser_flags()
+
+
+def test_parser_flags_are_readme_flags():
+    # the converse: every flag a subcommand accepts is documented
+    text = README.read_text().split("\n## Models", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    accepted = {f for f in _parser_flags() if f.startswith("--")}
+    assert accepted - {"--help"} <= named
 
 
 def test_timing_goes_to_stderr(capsys):

@@ -11,7 +11,8 @@ from g0bound import bound, zeros
 from g0bound.airy import AiryPairModel
 from g0bound.bessel import BesselIModel
 from g0bound.errors import DivergenceError, DomainError
-from g0bound.models import toy_square_model
+from g0bound.kbessel import k_order_zeros
+from g0bound.models import default_fleet, toy_square_model
 from g0bound.numerics import doubling_panel_rules
 from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, phi_vec,
                            product_eval, reciprocal_power_zero_sum,
@@ -25,29 +26,25 @@ ZETA_18 = 1.8822296181028220
 
 def toy_sequence(head=10_000):
     n = np.arange(1, head + 1, dtype=float)
-    return ZeroSequence(n * n, 2.0, 1.0, order_rho0=0.5)
+    return ZeroSequence(n * n, 2.0, 1.0)
 
 
 def test_validation_rejects_bad_heads():
     with pytest.raises(DomainError):
-        ZeroSequence([0.0, 1.0], 2.0, 1.0, order_rho0=0.5)
+        ZeroSequence([0.0, 1.0], 2.0, 1.0)
     with pytest.raises(DomainError):
-        ZeroSequence([2.0, 1.0], 2.0, 1.0, order_rho0=0.5)
+        ZeroSequence([2.0, 1.0], 2.0, 1.0)
     with pytest.raises(DomainError):
-        ZeroSequence([], 2.0, 1.0, order_rho0=0.5)
+        ZeroSequence([], 2.0, 1.0)
 
 
 def test_validation_tail_parameters():
     with pytest.raises(DomainError):
-        ZeroSequence([1.0], 1.0, 1.0, order_rho0=0.5)  # exponent must be > 1
+        ZeroSequence([1.0], 1.0, 1.0)  # exponent must be > 1
     with pytest.raises(DomainError):
-        ZeroSequence([1.0], 2.0, -1.0, order_rho0=0.5)
-    # tailed sequences pin order_rho0 to 1/tail_exponent
-    with pytest.raises(DomainError):
-        ZeroSequence([1.0], 2.0, 1.0, order_rho0=0.6)
-    with pytest.raises(DomainError):
-        ZeroSequence([1.0], 2.0, None, order_rho0=1.0)
-    # head-only sequences default to order 0
+        ZeroSequence([1.0], 2.0, -1.0)
+    # the order is derived: 1/tail_exponent with a tail, 0 for a head only
+    assert ZeroSequence([1.0], 4.0 / 3.0, 1.0).order_rho0 == 0.75
     assert ZeroSequence([1.0], 2.0, None).order_rho0 == 0.0
 
 
@@ -148,6 +145,23 @@ def test_reciprocal_power_sum_complex():
             direct = complex((1.0 / (w + zn) ** power).sum())
             got = complex(reciprocal_power_zero_sum(zs, w, power))
             assert abs(got - direct) / abs(direct) < 1e-8, (w, power)
+
+
+def test_fleet_order_is_the_zeros_convergence_exponent():
+    for model in default_fleet():
+        rho0 = 1.0 / model.zeros().tail_exponent
+        assert model.order_rho0 == rho0, model.model_id
+
+
+def test_leading_zeros_reuse_the_head(korder, toy):
+    head = korder.zeros().head
+    # within the head: its own values, not a fresh (shorter) scan
+    assert np.array_equal(korder.leading_zeros(3), head[:3])
+    # past it: the routine that built the head
+    assert np.array_equal(korder.leading_zeros(10), k_order_zeros(1.0, 10))
+    assert np.array_equal(toy.leading_zeros(10_000), toy.zeros().head)
+    with pytest.raises(DomainError):
+        toy.leading_zeros(0)
 
 
 def test_model_from_zeros_roundtrip():
