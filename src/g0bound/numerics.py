@@ -226,19 +226,22 @@ _LOB9_NODES = np.concatenate([-_LOB9_X[:0:-1], _LOB9_X])
 _LOB9_WEIGHTS = np.concatenate([_LOB9_W[:0:-1], _LOB9_W])
 
 
-def doubling_panel_rules(lo: float, panels: int):
-    """Composite 8-point Legendre and 9-point Lobatto rules on the doubling
-    panels [lo 2^k, lo 2^(k+1)], k < panels.
+def doubling_panel_rules(lo: float, panels: int, ratio: float = 2.0):
+    """Composite 8-point Legendre and 9-point Lobatto rules on the panels
+    [lo r^k, lo r^(k+1)], k < panels, r = ratio: doubling panels by default.
 
     Returns (x_legendre, w_legendre, x_lobatto, w_lobatto).  A Lobatto node
     shared by two neighbouring panels appears once, with the two weights
     summed; x_lobatto[0] = lo.  On a completely monotone integrand the
     Legendre sum is a lower and the Lobatto sum an upper bound on its
-    integral over [lo, lo 2^panels].
+    integral over [lo, lo r^panels].  On a power x^-s each panel's
+    relative error scales as ((r - 1)/(r + 1))^16: the 8-point rule reads
+    int_1^r dx/x 8.5e-13 low at r = 2 and 1.4e-15 low at r = 2^(2/3).
     """
-    if not (lo > 0.0) or panels < 1:
-        raise DomainError("doubling_panel_rules needs lo > 0 and panels >= 1")
-    edges = lo * 2.0 ** np.arange(panels + 1)
+    if not (lo > 0.0) or panels < 1 or not ratio > 1.0:
+        raise DomainError(
+            "doubling_panel_rules needs lo > 0, panels >= 1 and ratio > 1")
+    edges = lo * ratio ** np.arange(panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     w_edges = np.zeros(panels + 1)

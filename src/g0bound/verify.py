@@ -98,11 +98,12 @@ _JENSEN_XS = (0.0, 1.0)
 _JENSEN_YS = (-2.0, -0.5, 0.5, 2.0)
 _JENSEN_H = 1e-3
 _FUZZ_POINTS = 10_000
-# the phi transforms: doubling panels from lo = 2^-133 up to at least
-# 64/z_1, and the largest share of a transform a closed-form head's band
-# may take
+# the phi transforms: panels of ratio 2^(2/3) from lo = 2^-133 up to at
+# least 64/z_1, and the largest share of a transform a closed-form head's
+# band may take
 _PHI_LO = 2.0 ** -133
 _PHI_REACH = 64.0
+_PHI_RATIO = 2.0 ** (2.0 / 3.0)
 _HEAD_BAND_MAX = 1e-12
 
 
@@ -235,10 +236,17 @@ class _PhiRule:
     """phi(t) = sum e^{-z_n t} sampled once, and the closed-form head that
     every transform int_0^inf k(t) phi(t) dt of the identity suite adds.
 
-    The body [lo, T] is the 8-point Legendre rule on the doubling panels of
-    numerics.doubling_panel_rules, lo = 2^-133 and T >= 64/z_1, past which
-    phi <= N e^-64; a transform's body is w_i phi(t_i) dotted with its kernel
-    at the nodes.  The head [0, lo] comes from the counting function: with
+    The body [lo, T] is the 8-point Legendre rule of
+    numerics.doubling_panel_rules on panels of ratio 2^(2/3), lo = 2^-133
+    and T >= 64/z_1, past which phi <= N e^-64; a transform's body is
+    w_i phi(t_i) dotted with its kernel at the nodes.  The ratio sets the
+    rule's error: each panel of the power law t^(rho - 1 - rho0) near 0
+    loses the same share, and so does the transform.  On doubling panels
+    that share is about 8e-13, and panels 4-32/z_1 wide where
+    phi ~ e^(-z_1 t) add to it; at 2^(2/3) it is about 2e-15, for 1.5
+    times the nodes (about 1,700).
+
+    The head [0, lo] comes from the counting function: with
     N(t) = A t^rho0 + D(t), |D| <= B (ZeroSequence.counting_bound),
     phi(t) = t int_0^inf N(s) e^{-st} ds = A Gamma(1 + rho0) t^-rho0 + E(t)
     with |E| <= B.  A head-only sequence of N zeros has
@@ -246,8 +254,9 @@ class _PhiRule:
     """
 
     def __init__(self, zs):
-        panels = math.ceil(math.log2(_PHI_REACH / (float(zs.head[0]) * _PHI_LO)))
-        t, w, _, _ = doubling_panel_rules(_PHI_LO, panels)
+        panels = math.ceil(math.log(_PHI_REACH / (float(zs.head[0]) * _PHI_LO))
+                           / math.log(_PHI_RATIO))
+        t, w, _, _ = doubling_panel_rules(_PHI_LO, panels, _PHI_RATIO)
         self.t, self.log_t = t, np.log(t)
         self.w_phi = w * phi_vec(zs, t)
         # |phi(t) - lead t^-power| <= rest t^rest_power on [0, lo]

@@ -66,9 +66,13 @@ _TAIL_SERIES_TERMS = 120
 # Euler-Maclaurin sums past it then stay at round-off for a head of any
 # length (a 32-zero head of n^2 extended only to 2 max|w| is 1.8e-14 off)
 _TAIL_EXTENSION_REACH = 256
-# sup_weighted_phi: stored phi samples per sequence, points per refinement
-_SUP_GRID_POINTS = 512
-_SUP_REFINE_POINTS = 33
+# sup_weighted_phi: grid nodes per decade of its range, nodes per refinement
+# round, the log-t spacing its rounds stop below, Newton steps for t_lo
+_SUP_NODES_PER_DECADE = 16
+_SUP_ROUND_NODES = 17
+_SUP_STEP = 1e-8
+_SUP_NEWTON_STEPS = 60
+_TINY = np.finfo(float).tiny
 
 
 class ZeroSequence:
@@ -92,8 +96,9 @@ class ZeroSequence:
     mutations are value-idempotent memos filled on first use: the tail power
     sums per rho, the suffix power-sum table and the scaled head moments
     behind the reciprocal sums and small-t phi (suffix_power_table,
-    head_moments), and the phi samples behind sup_weighted_phi
-    (phi_samples).  None is built at construction.
+    head_moments), and the counting-function constants behind the J tail,
+    the phi transforms' head and the range of sup_weighted_phi
+    (counting_bound).  None is built at construction.
     """
 
     def __init__(self, head: Sequence[float], tail_exponent: float,
@@ -121,7 +126,7 @@ class ZeroSequence:
         self._power_memo: dict[float, tuple[float, float]] = {}
         self._suffix_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._head_moments: np.ndarray | None = None
-        self._phi_samples: tuple[np.ndarray, np.ndarray] | None = None
+        self._counting: tuple[float, float] | None = None
         if self.has_tail and self.model_zero(arr.size + 1) <= 0.0:
             raise DomainError("tail model must stay positive past the head")
 
@@ -177,10 +182,13 @@ class ZeroSequence:
 
         For the tail model z_n = c (n + delta)^p + s, A = c^-rho0 and B bounds
         the deviation on every head interval and under the tail model.  A
-        head-only sequence has no such constants (N(t) stops at N).
+        head-only sequence has no such constants (N(t) stops at N).  Built
+        on the first call.
         """
         if not self.has_tail:
             raise DomainError("head-only sequence has no counting bound")
+        if self._counting is not None:
+            return self._counting
         head = self.head
         rho0 = self.order_rho0
         amp = self.tail_coefficient ** -rho0
@@ -196,6 +204,7 @@ class ZeroSequence:
         shift_dev = amp * abs(s) * rho0 * (z_next - max(s, 0.0)) ** (rho0 - 1.0)
         dev = max(dev, max(abs(delta), abs(delta + 1.0)) + shift_dev
                   + int(np.count_nonzero(head > z_next)))
+        self._counting = (amp, dev)
         return amp, dev
 
     def _tail_base(self) -> float:
@@ -229,32 +238,44 @@ class ZeroSequence:
         return val, err
 
     def tail_exp_sum(self, t):
-        """sum_{n>N} exp(-z_n t) under the tail model (t scalar or ndarray)."""
+        """sum_{n>N} exp(-z_n t) under the tail model (t scalar or ndarray).
+
+        The Euler-Maclaurin integral from a = N + 1 with its g'/12 and
+        g'''/720 endpoint terms, g(a) = exp(-x0), x0 = t c (N + 1 + offset)^p.
+        Past x0 = 745 the sum is 0: exp(-x0) is below the least float and
+        gammaincc(1/p, x0) underflows to 0 from x0 = 716 at the latest
+        (1/p < 1), so only the other t are evaluated.
+        """
         if not self.has_tail:
             return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p, c, delta = self.tail_exponent, self.tail_coefficient, self.tail_offset
         A = self.head_count + 1 + delta
-        sigma = t * c
-        x0 = sigma * A ** p
-        inv_p = 1.0 / p
-        with np.errstate(under="ignore"):
-            integral = inv_p * sigma ** (-inv_p) * gamma(inv_p) * gammaincc(inv_p, x0)
-            g = np.exp(-np.minimum(x0, 745.0))
-            g = np.where(x0 > 745.0, 0.0, g)
-            qp = sigma * p * A ** (p - 1.0)          # q'(a)
-            qpp = sigma * p * (p - 1.0) * A ** (p - 2.0)
-            qppp = sigma * p * (p - 1.0) * (p - 2.0) * A ** (p - 3.0)
-            # g'/12 and g'''/720 endpoint corrections
-            corr = 0.5 * g + qp * g / 12.0 + (-qp ** 3 + 3.0 * qp * qpp - qppp) * g / 720.0
-            out = integral + corr
-            if self.tail_shift != 0.0:
-                # exp(-(pure + shift) t) = exp(-shift t) * exp(-pure t)
-                # a negative shift overflows the factor where the sum has
-                # already underflowed to 0; multiply only the nonzero terms
-                live = out != 0.0
-                out[live] = out[live] * np.exp(-self.tail_shift * t[live])
+        out = np.zeros(t.shape)
+        live = t * c * A ** p <= 745.0
+        if live.any():
+            tl = t[live]
+            sigma = tl * c
+            x0 = sigma * A ** p
+            inv_p = 1.0 / p
+            with np.errstate(under="ignore"):
+                integral = (inv_p * sigma ** (-inv_p) * gamma(inv_p)
+                            * gammaincc(inv_p, x0))
+                g = np.exp(-x0)
+                qp = sigma * p * A ** (p - 1.0)          # q'(a)
+                qpp = sigma * p * (p - 1.0) * A ** (p - 2.0)
+                qppp = sigma * p * (p - 1.0) * (p - 2.0) * A ** (p - 3.0)
+                corr = (0.5 * g + qp * g / 12.0
+                        + (-qp ** 3 + 3.0 * qp * qpp - qppp) * g / 720.0)
+                sums = integral + corr
+                if self.tail_shift != 0.0:
+                    # exp(-(pure + shift) t) = exp(-shift t) exp(-pure t); a
+                    # negative shift overflows the factor where the sum has
+                    # already underflowed to 0, so only nonzero sums take it
+                    nz = sums != 0.0
+                    sums[nz] = sums[nz] * np.exp(-self.tail_shift * tl[nz])
+            out[live] = sums
         return float(out[0]) if scalar else out
 
     def tail_reciprocal_sum(self, w, power: int = 1):
@@ -416,23 +437,6 @@ class ZeroSequence:
             self._head_moments = mu
         return self._head_moments
 
-    # -- phi samples for the weighted supremum -----------------------------
-
-    def phi_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, phi(t)) on 512 log-spaced nodes over [1e-6/z_N, 1e3/z_1].
-
-        phi does not depend on rho, so sup_weighted_phi reads every rho's
-        grid maximum from these samples; they are taken on the first call.
-        """
-        if self._phi_samples is None:
-            ts = np.geomspace(1e-6 / self.head[-1], 1e3 / self.head[0],
-                              _SUP_GRID_POINTS)
-            phis = phi_vec(self, ts)
-            ts.setflags(write=False)
-            phis.setflags(write=False)
-            self._phi_samples = (ts, phis)
-        return self._phi_samples
-
 
 # --------------------------------------------------------------------------
 # operations on zero sequences
@@ -511,7 +515,10 @@ def phi_vec(zs: ZeroSequence, t):
     zh = zs.head
     s = flat * zh[-1]
     small = s <= 1.0
-    k = np.searchsorted(zh, zh[0] + _PHI_EXPONENT_WINDOW / flat, side="right")
+    with np.errstate(over="ignore"):
+        # 46/t overflows for t below 2.6e-307, where the series takes phi
+        k = np.searchsorted(zh, zh[0] + _PHI_EXPONENT_WINDOW / flat,
+                            side="right")
     k[small] = 0
     with np.errstate(under="ignore"):
         out = _head_sums(zh, flat, k, lambda ts, z: np.exp(-ts * z))
@@ -558,32 +565,180 @@ def phi(zs: ZeroSequence, t: float) -> float:
 def sup_weighted_phi(zs: ZeroSequence, rho: float) -> float:
     """Numeric supremum of t^rho phi(t) over t > 0.
 
-    Takes the best of the sequence's stored phi samples (ZeroSequence.
-    phi_samples: 512 log-spaced nodes over [1e-6/z_N, 1e3/z_1]) weighted by
-    t^rho, then refines the two grid cells around it in rounds: each round
-    evaluates t^rho phi(t) on 33 equispaced points with one phi_vec call and
-    keeps the two cells around the best point, shrinking the bracket 16-fold,
-    until it is 1e-10 of its initial width (at most 9 rounds).  Returns the
-    largest value seen.
+    The maximiser lies in [t_lo, t_hi] (_sup_range).  One phi_vec call on
+    16 log-spaced nodes per decade of that range samples t^rho phi; every
+    peak of those samples that may hold the sup (_peaks, most often one)
+    is then refined in rounds (_refine_peak).  Returns the largest value
+    seen.
     """
     if not (zs.order_rho0 < rho < 1.0):
         raise DomainError(
             f"sup_weighted_phi requires rho in ({zs.order_rho0:g}, 1), got {rho!r}")
-    ts, phis = zs.phi_samples()
+    t_lo, t_hi = _sup_range(zs, rho)
+    n = 1 + math.ceil(_SUP_NODES_PER_DECADE
+                      * (math.log10(t_hi) - math.log10(t_lo)))
+    ts = np.geomspace(t_lo, t_hi, n)
+    vals = _weighted_phi(zs, rho, ts)
+    if n == 1:
+        return float(vals[0])
+    u = np.log(ts)
+    h = (u[-1] - u[0]) / (n - 1)
+    return max(_refine_peak(zs, rho, u, vals, k)
+               for k in _peaks(vals, 0.5 * rho * h * h))
+
+
+def _weighted_phi(zs: ZeroSequence, rho: float, t: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
-        vals = ts ** rho * phis
-    k = int(np.argmax(vals))
+        return t ** rho * phi_vec(zs, t)
+
+
+def _peaks(vals: np.ndarray, margin: float) -> np.ndarray:
+    """The samples whose neighbourhood may hold the sup: the best one, and
+    every local maximum within `margin` (relative) of it that stands out
+    of rounding on one side.
+
+    At a maximum of y = log(t^rho phi) in u = log t, y'' = -rho + t^2 Var
+    lies in [-rho, 0] (Var the variance of the z_n under the weights
+    e^{-z_n t}), so at spacing h the sample nearest a peak is within about
+    rho h^2 / 8 of it; the margin is rho h^2 / 2.  Samples that differ by
+    rounding alone, as on the flat t^(rho - rho0) stretch next to rho0,
+    are not peaks.
+    """
+    left = np.concatenate(([-np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [-np.inf]))
+    keep = ((vals > left) & (vals >= right)
+            & (vals > np.minimum(left, right) * (1.0 + 1e-14))
+            & (vals >= np.max(vals) * (1.0 - margin)))
+    keep[np.argmax(vals)] = True
+    return np.flatnonzero(keep)
+
+
+def _refine_peak(zs: ZeroSequence, rho: float, u: np.ndarray,
+                 vals: np.ndarray, k: int) -> float:
+    """The largest t^rho phi found around sample k of the equispaced log
+    nodes u.
+
+    Each round evaluates 17 nodes around the vertex of the parabola
+    through the best node and its two neighbours, in one phi_vec call,
+    inside the bracket of those neighbours, with the spacing h (in log t)
+    cut to min(h/8, h^2/4) (_next_spacing), until it is below 1e-8: three
+    rounds from a grid of 16 nodes per decade.  A round whose best node is
+    an end of its window, short of the bracket's, spreads the next round
+    over the rest of the bracket.
+    """
     best = float(vals[k])
-    lo, hi = ts[max(0, k - 1)], ts[min(ts.size - 1, k + 1)]
-    tol = 1e-10 * (hi - lo)
-    while hi - lo > tol:
-        xs = np.linspace(lo, hi, _SUP_REFINE_POINTS)
-        with np.errstate(under="ignore"):
-            vals = xs ** rho * phi_vec(zs, xs)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        lo, hi = xs[max(0, k - 1)], xs[min(xs.size - 1, k + 1)]
-    return best
+    a, b = u[max(k - 1, 0)], u[min(k + 1, u.size - 1)]
+    centre = _vertex(u, vals, k)
+    h = _next_spacing(u[1] - u[0])
+    half = _SUP_ROUND_NODES // 2
+    while True:
+        if 2 * half * h >= b - a:
+            nodes = np.linspace(a, b, 2 * half + 1)
+            h, open_lo, open_hi = nodes[1] - nodes[0], False, False
+        else:
+            start = min(max(centre - half * h, a), b - 2 * half * h)
+            nodes = start + h * np.arange(2 * half + 1)
+            open_lo, open_hi = start > a, start + 2 * half * h < b
+        vals = _weighted_phi(zs, rho, np.exp(nodes))
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        if h < _SUP_STEP:
+            return best
+        if j == 0 and open_lo or j == 2 * half and open_hi:
+            # the window missed the peak
+            a, b = (a, nodes[1]) if j == 0 else (nodes[-2], b)
+            h = math.inf
+            continue
+        a, b = nodes[max(j - 1, 0)], nodes[min(j + 1, nodes.size - 1)]
+        centre = _vertex(nodes, vals, j)
+        h = _next_spacing(h)
+
+
+def _vertex(u: np.ndarray, vals: np.ndarray, k: int) -> float:
+    """The vertex of the parabola through the equispaced (u, vals) at k - 1,
+    k, k + 1, for a k whose value is at least its neighbours' (so within
+    half a spacing of u[k]); u[k] itself at an end of u or where the three
+    values are equal."""
+    if not 0 < k < u.size - 1:
+        return float(u[k])
+    lo, mid, hi = vals[k - 1:k + 2]
+    curve = 2.0 * mid - lo - hi
+    if not curve > 0.0:
+        return float(u[k])
+    return float(u[k] + (u[1] - u[0]) * 0.5 * (hi - lo) / curve)
+
+
+def _next_spacing(h: float) -> float:
+    """The log-t spacing of the refinement round after one at spacing h.
+
+    The parabola's vertex from spacing h is off the peak by about
+    h^2 |y'''/y''| / 3, y the log of t^rho phi in log t, where the ratio is
+    about 1 (exactly 1 for a single zero); a round at h^2/4 reaches 2 h^2
+    either side.  The last round runs at 1e-9.
+    """
+    return max(min(h / 8.0, 0.25 * h * h), 0.1 * _SUP_STEP)
+
+
+def _sup_range(zs: ZeroSequence, rho: float) -> tuple[float, float]:
+    """(t_lo, t_hi) with the maximiser of t^rho phi(t) inside.
+
+    Past t_hi = rho/z_min, z_min the least zero (head or tail model),
+    t^rho phi decreases, since -t phi'(t)/phi(t) >= z_min t.  Below t_lo an
+    upper bound U(t) on t^rho phi stays under a lower bound L0 on its sup.
+    U comes from the counting function (ZeroSequence.counting_bound):
+    phi(t) <= a t^-rho0 + B with a = A Gamma(1 + rho0), so
+    U(t) = a t^(rho - rho0) + B t^rho; a head-only sequence of N zeros has
+    U(t) = N t^rho.  L0 is the larger of the least zero's own peak
+    (rho/(e z_min))^rho and the peak of t^rho (a t^-rho0 - B), since
+    a t^-rho0 - B is a lower bound on phi.  U increases, and t_lo is the
+    root of U(t) = L0.  Where that root underflows (rho at rho0, or at 0
+    without a tail) t_lo is 1e-6/z_N instead.
+    """
+    z_min = float(zs.head[0])
+    if zs.has_tail:
+        z_min = min(z_min, float(zs.model_zero(zs.head_count + 1)))
+    log_hi = math.log(rho) - math.log(z_min)
+    log_floor = rho * (log_hi - 1.0)
+    if zs.has_tail:
+        rho0 = zs.order_rho0
+        amp, dev = zs.counting_bound()
+        log_a, log_b = math.log(amp * gamma(1.0 + rho0)), math.log(dev)
+        gap = rho - rho0
+        log_peak = (log_a + math.log(gap / rho) - log_b) / rho0
+        log_floor = max(log_floor,
+                        log_b + math.log(rho0 / gap) + rho * log_peak)
+        log_lo = _counting_root(log_a, log_b, gap, rho, log_floor)
+    else:
+        log_lo = log_hi - 1.0 - math.log(zs.head_count) / rho
+    t_lo = math.exp(log_lo)
+    if not t_lo >= _TINY:
+        t_lo = 1e-6 / float(zs.head[-1])
+    return t_lo, max(math.exp(log_hi), t_lo)
+
+
+def _counting_root(log_a: float, log_b: float, gap: float, rho: float,
+                   log_floor: float) -> float:
+    """A lower bound, within rounding, on the root u of
+    log(a e^(gap u) + B e^(rho u)) = log_floor.
+
+    The left side is convex and increasing, with slope between gap and
+    rho, so Newton steps from the right of the root stay right of it; the
+    last residual over the least slope then moves u to the left of it.
+    """
+    def excess(u):
+        """(log U - log_floor, the share of a e^(gap u) in U) at u."""
+        lead = log_a + gap * u
+        total = float(np.logaddexp(lead, log_b + rho * u))
+        return total - log_floor, math.exp(lead - total)
+
+    u = min((log_floor - log_a) / gap, (log_floor - log_b) / rho)
+    for _ in range(_SUP_NEWTON_STEPS):
+        over, share = excess(u)
+        step = over / (rho - (rho - gap) * share)
+        u -= step
+        if not step > 1e-12 * max(1.0, abs(u)):
+            break
+    return u - max(excess(u)[0], 0.0) / gap
 
 
 # --------------------------------------------------------------------------

@@ -239,8 +239,26 @@ def test_doubling_panel_rules_bracket_completely_monotone():
         assert above - below < 1e-10 * want
 
 
+def test_panel_rules_at_ratio_below_two():
+    # panels [r^k, r^(k+1)]: still exact to degree 15 on one panel, and on
+    # int dx/x, which every doubling panel reads 8.5e-13 low, the 8-point
+    # rule at r = 2^(2/3) is within 2e-15
+    r = 2.0 ** (2.0 / 3.0)
+    x_gl, w_gl, x_lob, w_lob = doubling_panel_rules(1.0, 1, r)
+    for d in range(16):
+        want = (r ** (d + 1) - 1.0) / (d + 1)
+        assert w_gl @ x_gl ** d == pytest.approx(want, rel=1e-14), d
+        assert w_lob @ x_lob ** d == pytest.approx(want, rel=1e-14), d
+    x_gl, w_gl, _, _ = doubling_panel_rules(1e-3, 30, r)
+    assert abs(w_gl @ (1.0 / x_gl) / (30 * math.log(r)) - 1.0) <= 2e-15
+    x_gl, w_gl, _, _ = doubling_panel_rules(1e-3, 20)
+    assert w_gl @ (1.0 / x_gl) / (20 * math.log(2.0)) - 1.0 < -8e-13
+
+
 def test_doubling_panel_rules_domain():
     with pytest.raises(DomainError):
         doubling_panel_rules(0.0, 4)
     with pytest.raises(DomainError):
         doubling_panel_rules(1.0, 0)
+    with pytest.raises(DomainError):
+        doubling_panel_rules(1.0, 4, 1.0)

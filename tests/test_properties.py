@@ -17,7 +17,7 @@ from g0bound.models import build_model  # noqa: E402
 from g0bound.verify import run_identity_suite  # noqa: E402
 from g0bound.zeros import (ZeroSequence, phi_vec,  # noqa: E402
                            reciprocal_power_zero_sum, sup_weighted_phi,
-                           zero_sum_detail)
+                           zero_sum, zero_sum_detail)
 
 _ZEROS = st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
                   max_size=50).map(sorted)
@@ -27,7 +27,7 @@ _RHO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
 
 @hypothesis.given(head=_ZEROS, rho=_RHO)
 def test_sup_weighted_phi_between_grid_and_paper_bound(head, rho):
-    # from below: the best node of the 512-node grid the sup starts from;
+    # from below: the best of 512 log-spaced nodes over [1e-6/z_N, 1e3/z_1];
     # from above: sum_n sup_t t^rho e^{-z_n t} = (rho/e)^rho sum_n z_n^-rho
     zs = ZeroSequence(head, 2.0, None)
     ts = np.geomspace(1e-6 / head[-1], 1e3 / head[0], 512)
@@ -40,6 +40,26 @@ def test_sup_weighted_phi_between_grid_and_paper_bound(head, rho):
 
 _TAIL = st.one_of(st.none(), st.tuples(st.floats(min_value=1.1, max_value=4.0),
                                         st.floats(min_value=0.5, max_value=4.0)))
+
+
+@hypothesis.given(head=_ZEROS, tail=_TAIL.filter(lambda v: v is not None),
+                  u=_RHO)
+def test_sup_weighted_phi_tailed_between_grid_and_paper_bound(head, tail, u):
+    # as above with a tail model, whose first zero (at s z_N) may fall below
+    # the head's; rho runs over (rho0, 1) = (1/p, 1), and the upper bound
+    # takes the zero sum with its tail
+    p, s = tail
+    zs = ZeroSequence(head, p, s * head[-1] / (len(head) + 1.0) ** p)
+    rho = zs.order_rho0 + (1.0 - zs.order_rho0) * u
+    hypothesis.assume(p * rho > 1.0 and rho < 1.0)
+    ts = np.geomspace(1e-6 / head[-1], 1e3 / head[0], 512)
+    with np.errstate(under="ignore"):
+        grid_best = float(np.max(ts ** rho * phi_vec(zs, ts)))
+    upper = math.exp(rho * (math.log(rho) - 1.0)) * zero_sum(zs, rho)
+    sup = sup_weighted_phi(zs, rho)
+    assert grid_best * (1.0 - 1e-14) <= sup <= upper * (1.0 + 1e-12)
+
+
 _MODULI = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)
                              .map(lambda e: 10.0 ** e)), min_size=1, max_size=20)
 

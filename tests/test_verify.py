@@ -116,6 +116,32 @@ def test_toy_transforms_match_closed_forms(toy):
             assert abs(got - want) <= 1e-11 * abs(want), z
 
 
+def test_toy_phi_transforms_to_5e14(toy):
+    # every phi transform of the identity suite against its closed form:
+    # Mellin Gamma(rho) zeta(2 rho), Laplace the coth form, the log
+    # representation sinh(pi sqrt z)/(pi sqrt z); doubling panels read each
+    # of them 8e-13 to 2e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    recs = run_identity_suite(toy)
+    with mpmath.workdps(30):
+        for rho in toy.identity_rhos:
+            want = float(mpmath.gamma(rho) * mpmath.zeta(2 * mpmath.mpf(rho)))
+            got = _record(recs, "mellin_transform", "rho", rho).lhs
+            assert abs(got - want) <= 5e-14 * want, rho
+        for x in verify._LAPLACE_XS:
+            r = mpmath.sqrt(x)
+            want = float(mpmath.pi * mpmath.coth(mpmath.pi * r) / (2 * r)
+                         - 1 / (2 * mpmath.mpf(x)))
+            got = _record(recs, "laplace_transform", "x", x).lhs
+            assert abs(got - want) <= 5e-14 * want, x
+        for z in verify._LOGREP_ZS:
+            r = mpmath.sqrt(mpmath.mpc(z))
+            want = complex(mpmath.sinh(mpmath.pi * r) / (mpmath.pi * r))
+            got = _record(recs, "log_representation", "z",
+                          format_complex(z)).lhs
+            assert abs(got - want) <= 5e-14 * abs(want), z
+
+
 def test_head_only_mellin_matches_zero_sum():
     # a finite product: phi(t) -> N as t -> 0, so the closed-form head is
     # N lo^rho / rho; rho = 0.05 puts about 1% of the transform there

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from g0bound import bound, zeros
 from g0bound.airy import AiryPairModel
@@ -13,7 +14,7 @@ from g0bound.bessel import BesselIModel
 from g0bound.errors import DivergenceError, DomainError
 from g0bound.kbessel import k_order_zeros
 from g0bound.models import default_fleet, toy_square_model
-from g0bound.numerics import doubling_panel_rules
+from g0bound.numerics import doubling_panel_rules, gamma
 from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, phi_vec,
                            product_eval, reciprocal_power_zero_sum,
                            reciprocal_zero_sum, sup_weighted_phi, zero_sum)
@@ -190,6 +191,18 @@ def test_phi_negative_tail_shift_emits_no_warning():
     assert vals[0] == pytest.approx(phi(zs, 1.0), rel=1e-15)
 
 
+def test_phi_vec_below_the_window_overflow_emits_no_warning():
+    # 46/t passes the float range for t below 2.6e-307; there the head
+    # moments' series takes phi, which is N up to t sum z_n
+    zs = ZeroSequence([1.0, 2.0, 5.0], 2.0, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = phi_vec(zs, [np.finfo(float).tiny, 1e-300, 1.0])
+    assert vals[0] == vals[1] == 3.0
+    assert vals[2] == pytest.approx(math.fsum(math.exp(-z) for z in (1, 2, 5)),
+                                    rel=1e-15)
+
+
 def _phi_per_t(zs, t):
     """Reference phi: one head window and one exp sum per t, then the tail."""
     flat = np.asarray(t, dtype=float).reshape(-1)
@@ -230,29 +243,70 @@ def test_phi_vec_shape_contract():
             phi_vec(zs, bad)
 
 
-def test_phi_samples_toy_match_jacobi_and_mpmath():
-    # phi(t) = sum_n e^{-n^2 t} on all 512 sup-grid nodes, 181 of them with
-    # t z_N <= 1 (the head-moment series): below t = 1 through Jacobi's
-    # theta_3(t) = sqrt(pi/t) (1 + 2 sum_k e^{-pi^2 k^2 / t}), above it as
-    # a direct 30-digit sum
+def _toy_phi_mpmath(mpmath, t):
+    """sum_n e^{-n^2 t} at 30 digits: below t = 1 through Jacobi's
+    theta_3(t) = sqrt(pi/t) (1 + 2 sum_k e^{-pi^2 k^2 / t}), above it as a
+    direct sum."""
+    if t < 1:
+        theta = mpmath.sqrt(mpmath.pi / t) * (1 + 2 * mpmath.nsum(
+            lambda k: mpmath.exp(-mpmath.pi ** 2 * k ** 2 / t),
+            [1, mpmath.inf]))
+        return (theta - 1) / 2
+    return mpmath.nsum(lambda k: mpmath.exp(-k * k * t), [1, mpmath.inf])
+
+
+def test_phi_vec_toy_matches_jacobi_and_mpmath():
+    # phi(t) = sum_n e^{-n^2 t} on 512 log-spaced nodes over
+    # [1e-6/z_N, 1e3/z_1], 181 of them with t z_N <= 1 (the head-moment
+    # series)
     mpmath = pytest.importorskip("mpmath")
     zs = toy_sequence()
-    ts, phis = zs.phi_samples()
-    want = []
+    ts = np.geomspace(1e-6 / zs.head[-1], 1e3 / zs.head[0], 512)
+    phis = phi_vec(zs, ts)
     with mpmath.workdps(30):
-        for t in map(mpmath.mpf, ts.tolist()):
-            if t < 1:
-                theta = mpmath.sqrt(mpmath.pi / t) * (1 + 2 * mpmath.nsum(
-                    lambda k: mpmath.exp(-mpmath.pi ** 2 * k ** 2 / t),
-                    [1, mpmath.inf]))
-                want.append(float((theta - 1) / 2))
-            else:
-                want.append(float(mpmath.nsum(lambda k: mpmath.exp(-k * k * t),
-                                              [1, mpmath.inf])))
-    want = np.array(want)
+        want = np.array([float(_toy_phi_mpmath(mpmath, t))
+                         for t in map(mpmath.mpf, ts.tolist())])
     live = want > 0.0
     assert np.count_nonzero(ts * zs.head[-1] <= 1.0) == 181
     assert np.max(np.abs(phis[live] / want[live] - 1.0)) <= 1e-14
+
+
+def _tail_exp_sum_reference(zs, t):
+    """The tail sum evaluated on every t, as one expression whose x0 > 745
+    entries come out 0."""
+    p, c, delta = zs.tail_exponent, zs.tail_coefficient, zs.tail_offset
+    A = zs.head_count + 1 + delta
+    sigma = t * c
+    x0 = sigma * A ** p
+    inv_p = 1.0 / p
+    with np.errstate(under="ignore"):
+        integral = inv_p * sigma ** (-inv_p) * gamma(inv_p) * gammaincc(inv_p, x0)
+        g = np.exp(-np.minimum(x0, 745.0))
+        g = np.where(x0 > 745.0, 0.0, g)
+        qp = sigma * p * A ** (p - 1.0)
+        qpp = sigma * p * (p - 1.0) * A ** (p - 2.0)
+        qppp = sigma * p * (p - 1.0) * (p - 2.0) * A ** (p - 3.0)
+        corr = 0.5 * g + qp * g / 12.0 + (-qp ** 3 + 3.0 * qp * qpp - qppp) * g / 720.0
+        out = integral + corr
+        if zs.tail_shift != 0.0:
+            live = out != 0.0
+            out[live] = out[live] * np.exp(-zs.tail_shift * t[live])
+    return out
+
+
+def test_tail_exp_sum_skips_only_exact_zeros():
+    # x0 = t z_{N+1} (shift aside) from 1e-12 to 2e3 spans the 745 cut and
+    # the 716 from which gammaincc is 0; the skipped entries were exactly 0
+    for model in default_fleet():
+        zs = model.zeros()
+        x0 = np.concatenate((np.geomspace(1e-12, 2e3, 397),
+                             np.linspace(700.0, 760.0, 121)))
+        t = x0 / (zs.tail_coefficient
+                  * (zs.head_count + 1 + zs.tail_offset) ** zs.tail_exponent)
+        want = _tail_exp_sum_reference(zs, t)
+        got = zs.tail_exp_sum(t)
+        assert np.all(want[x0 > 745.0] == 0.0), model.model_id
+        assert np.array_equal(got, want), model.model_id
 
 
 def test_phi_vec_head_only_matches_dense_sum():
@@ -310,8 +364,8 @@ def test_sup_weighted_phi_two_zeros_matches_mpmath():
 
 
 def test_sup_weighted_phi_work_budget(monkeypatch):
-    # phi is sampled on the 512-node grid once per sequence; each rho then
-    # costs only its refinement rounds
+    # every sup searches only its own range: at most 5 phi_vec calls per
+    # (model, rho), none of 512 nodes or more
     calls = []
     real = zeros.phi_vec
 
@@ -320,13 +374,33 @@ def test_sup_weighted_phi_work_budget(monkeypatch):
         return real(zs, t)
 
     monkeypatch.setattr(zeros, "phi_vec", counting)
-    zs = toy_sequence(head=200)
-    sup_weighted_phi(zs, 0.75)
-    assert calls[0] == 512 and calls[1:].count(512) == 0
-    assert 1 <= len(calls) - 1 <= 16
-    calls.clear()
-    sup_weighted_phi(zs, 0.6)
-    assert 512 not in calls and 1 <= len(calls) <= 16
+    for model in default_fleet():
+        for rho in model.identity_rhos:
+            calls.clear()
+            sup_weighted_phi(model.zeros(), rho)
+            assert 1 <= len(calls) <= 5, (model.model_id, rho, calls)
+            assert max(calls) < 512, (model.model_id, rho, calls)
+
+
+@pytest.mark.parametrize("rho", [0.501, 0.52, 0.55])
+def test_sup_weighted_phi_toy_next_to_rho0_matches_mpmath(rho):
+    # the maximiser of t^rho theta-sum lies at small t here (about 1.3e-5
+    # at rho = 0.501), near the lower end of the searched range; its
+    # critical point rho phi + t phi' = 0 is solved at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    zs = toy_sequence()
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+
+        def dlog(t):
+            return r / t + mpmath.diff(lambda s: _toy_phi_mpmath(mpmath, s), t) \
+                / _toy_phi_mpmath(mpmath, t)
+
+        # phi ~ (sqrt(pi/t) - 1)/2 gives the first guess
+        guess = (mpmath.sqrt(mpmath.pi) * (r - mpmath.mpf(1) / 2) / r) ** 2
+        t_star = mpmath.findroot(dlog, guess)
+        want = float(t_star ** r * _toy_phi_mpmath(mpmath, t_star))
+    assert sup_weighted_phi(zs, rho) == pytest.approx(want, rel=1e-13)
 
 
 def _profile_nodes():
