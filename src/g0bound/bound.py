@@ -19,9 +19,10 @@ Stieltjes function, so g(x) x^{-rho} is completely monotone for every rho:
 on each panel the Legendre rule underestimates and the Lobatto rule
 overestimates its integral.  For any rho, J is thus bracketed by two dot
 products with weights w_i x_i^{-rho}, closed by the head [0, eps] (g is
-decreasing there) and a closed-form tail beyond X (_counting_tail,
-_k_order_tail).  Both ends are moved outward by a rounding allowance of
-samples * eps times the computed sum, so the bracket never has zero width;
+decreasing there) and a closed-form tail beyond X (_counting_tail from
+the envelope of phi, ZeroSequence.phi_envelope; _k_order_tail).  Both
+ends are moved outward by a rounding allowance of samples * eps times the
+computed sum, so the bracket never has zero width;
 it holds up to the evaluation error of g itself.  The ceiling is built from
 its upper end J_hi.
 
@@ -39,8 +40,9 @@ lattice only fixes which ones are compared.
 
 The intermediate exponent needs sup_t t^rho phi(t), phi(t) = sum e^{-z_n t}.
 sup_weighted_phi searches only where the maximiser can lie for that rho,
-between a t_lo(rho) from the counting function and rho/z_1, in four
-vectorized phi evaluations of about 100 nodes together (about 0.5 ms).
+between a t_lo(rho) from the envelope of phi and rho over the least zero,
+in four vectorized phi evaluations of about 100 nodes together (about
+0.5 ms).
 The result is memoized per model and exact rho in _SUP_CACHE: warm
 sessions repeat rhos, a hit costs nothing, and a sup costs more than a
 whole warm query.
@@ -58,7 +60,7 @@ from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError, EvaluationOverflowError
 from .kbessel import KOrderModel
-from .numerics import QuadratureResult, doubling_panel_rules, gamma
+from .numerics import QuadratureResult, doubling_panel_rules
 # unused here; perfbench/tracing.py patches bound.integrate_singular and
 # bound.minimize_scalar by name
 from .numerics import integrate_singular, minimize_scalar  # noqa: F401
@@ -168,33 +170,24 @@ def _check_halfplane(z: complex) -> complex:
 
 
 def _counting_tail(zs: ZeroSequence):
-    """int_X^inf g(x) x^{-rho} dx from the zero counting function N(t).
+    """int_X^inf g(x) x^{-rho} dx from the envelope of phi.
 
-    Integration by parts gives g(x) = int_0^inf N(t) (x + t)^-2 dt.  With
-    N(t) = A t^rho0 + D(t) and |D| <= B (ZeroSequence.counting_bound) this
-    is A (pi rho0 / sin(pi rho0)) x^(rho0 - 1) + d(x) with |d(x)| <= B / x,
-    so the tail is A pi rho0 / sin(pi rho0) X^(rho0 - rho) / (rho - rho0)
-    within B X^-rho / rho.  A head-only sequence of N zeros up to z_N has
-    N / (x + z_N) <= g(x) <= N / x instead.  Returns rho -> (main, band).
+    g is the Laplace transform of phi(t) = sum e^{-z_n t}, so
+    |phi(t) - a t^-q| <= b t^r (ZeroSequence.phi_envelope) gives
+    g(x) = a Gamma(1 - q) x^(q - 1) + d(x) with
+    |d(x)| <= b Gamma(1 + r) x^(-1 - r), and the tail is
+    a Gamma(1 - q) X^(q - rho) / (rho - q) within
+    b Gamma(1 + r) X^(-rho - r) / (rho + r).  Returns rho -> (main, band).
     """
-    if not zs.has_tail:
-        n, z_top = float(zs.head_count), float(zs.head[-1])
+    lead, power, rest, rest_power = zs.phi_envelope()
+    coef = lead * math.gamma(1.0 - power)
+    width = rest * math.gamma(1.0 + rest_power)
 
-        def head_only(rho):
-            upper = n * _X ** -rho / rho
-            lower = upper * _X / (_X + z_top)
-            return 0.5 * (upper + lower), 0.5 * (upper - lower)
+    def tail(rho):
+        return (coef * _X ** (power - rho) / (rho - power),
+                width * _X ** (-rho - rest_power) / (rho + rest_power))
 
-        return head_only
-
-    rho0 = zs.order_rho0
-    amp, dev = zs.counting_bound()
-    coef = amp * math.pi * rho0 / math.sin(math.pi * rho0)
-
-    def counted(rho):
-        return coef * _X ** (rho0 - rho) / (rho - rho0), dev * _X ** -rho / rho
-
-    return counted
+    return tail
 
 
 def _k_order_tail(a: float):
@@ -337,7 +330,7 @@ def bound_exponent(model: FunctionModel, z: complex, rho: float, J: float) -> fl
     theta = cmath.phase(zc)
     log_scale = rho * (math.log(rho) - 1.0) + rho * math.log(abs(zc)) \
         + (rho - 1.0) * math.log(math.cos(theta))
-    return float(math.exp(log_scale) * J / gamma(1.0 + rho))
+    return float(math.exp(log_scale) * J / math.gamma(1.0 + rho))
 
 
 def _sup_cached(model: FunctionModel, rho: float) -> float:
@@ -360,7 +353,7 @@ def intermediate_exponent(model: FunctionModel, z: complex, rho: float) -> float
     rho = _check_rho(model, rho)
     theta = cmath.phase(zc)
     sup = _sup_cached(model, rho)
-    return float((zc.real ** rho) * sup * gamma(1.0 - rho) / (rho * math.cos(theta)))
+    return float((zc.real ** rho) * sup * math.gamma(1.0 - rho) / (rho * math.cos(theta)))
 
 
 def optimize_rho(model: FunctionModel, z: complex):

@@ -313,6 +313,13 @@ def k_order_zeros(a: float, count: int) -> np.ndarray:
     block's brackets in one bracketed solve.  Scanning stops once the
     integral sits below 1e-13 for several steps (the noise floor); fewer
     than `count` zeros by then raise InsufficientZerosError.
+
+    The solve narrows each bracket to 1e-13 relative, but the zeros are
+    only as accurate as the cosine sum's rounding allows, and K_{i*tau}(a)
+    shrinks like e^(-pi tau/2) along the head: against 30-digit roots of
+    K_{i*tau}(a), the tau_n of the 8-zero head are within 5.5e-12, 6.8e-11
+    and 3.5e-10 relative at a = 0.5, 1 and 2 (8.4e-10 at a = 1.37), the
+    returned tau_n^2 within twice that.
     """
     a = _require_a(a)
     count = int(count)

@@ -1,4 +1,4 @@
-"""Foundation numerics: gamma, globally adaptive Gauss-Kronrod quadrature,
+"""Foundation numerics: globally adaptive Gauss-Kronrod quadrature,
 the singular integral int_0^inf g(x) x^(-rho) dx as two finite-range
 quadratures (the head [0, 1] in u = x^(1-rho), the tail [1, inf) in s = 1/x),
 paired Gauss-Legendre/Gauss-Lobatto rules on doubling panels, bracketed root
@@ -24,7 +24,6 @@ from .errors import (BracketError, ConvergenceError, DomainError,
 
 __all__ = [
     "QuadratureResult",
-    "gamma",
     "quad_adaptive",
     "integrate_singular",
     "doubling_panel_rules",
@@ -47,24 +46,6 @@ class QuadratureResult:
             raise ValueError("error_estimate must be finite and >= 0")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
-
-
-# --------------------------------------------------------------------------
-# gamma
-# --------------------------------------------------------------------------
-
-GAMMA_MAX_ARG = 50.0
-
-
-def gamma(x: float) -> float:
-    """Euler gamma function on (0, 50].
-
-    Relative error <= 1e-12 on the supported range; arguments outside it
-    raise DomainError.
-    """
-    if not (0.0 < x <= GAMMA_MAX_ARG):
-        raise DomainError(f"gamma requires 0 < x <= {GAMMA_MAX_ARG:g}, got {x!r}")
-    return math.gamma(x)
 
 
 # --------------------------------------------------------------------------
@@ -144,13 +125,17 @@ def _gk_panel(fun, a: float, b: float):
     return resk, err, x.size
 
 
-def quad_adaptive(fun, a: float, b: float, rel_tol: float = 1e-10,
-                  abs_tol: float = 0.0, budget: int = 100_000) -> QuadratureResult:
+# quad_adaptive's budget of integrand evaluations
+_QUAD_BUDGET = 100_000
+
+
+def quad_adaptive(fun, a: float, b: float,
+                  rel_tol: float = 1e-10) -> QuadratureResult:
     """Globally adaptive Gauss-Kronrod integration of `fun` over [a, b].
 
     The worst-error panel is bisected until the summed panel errors drop below
-    max(abs_tol, rel_tol * |integral|).  `fun` receives an ndarray of nodes.
-    Raises ConvergenceError when the budget runs out, when the worst panel
+    rel_tol * |integral|.  `fun` receives an ndarray of nodes.  Raises
+    ConvergenceError after 100,000 evaluations, when the worst panel
     reaches floating-point resolution, or when the integrand is not finite.
     """
     if not (b > a):
@@ -161,10 +146,10 @@ def quad_adaptive(fun, a: float, b: float, rel_tol: float = 1e-10,
     while True:
         total_val = sum(p[3] for p in panels)
         total_err = sum(p[0] for p in panels)
-        tol = max(abs_tol, rel_tol * abs(total_val))
+        tol = rel_tol * abs(total_val)
         if total_err <= tol or total_err == 0.0:
             return QuadratureResult(total_val, float(total_err), total_evals)
-        if total_evals >= budget:
+        if total_evals >= _QUAD_BUDGET:
             raise ConvergenceError(
                 f"quad_adaptive: error {total_err:.3e} > tolerance {tol:.3e} "
                 f"after {total_evals} evaluations")

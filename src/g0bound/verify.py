@@ -14,8 +14,9 @@ phi(t) = sum e^{-z_n t} does not depend on the transform, so the identity
 suite samples it once per model, on one composite Legendre rule over
 [2^-133, T], and takes every Mellin, Laplace and log-representation
 transform as a dot product with its kernel.  The head [0, 2^-133], where phi
-grows like t^-rho0, is added in closed form from the zero counting function,
-so every rho in (rho0, 1) works, also next to rho0.
+grows like t^-rho0, is added in closed form from the envelope of phi
+(ZeroSequence.phi_envelope), so every rho in (rho0, 1) works, also next to
+rho0.
 
 Models whose zero data is non-authoritative (short best-effort heads) get a
 degraded identity suite: quadrature self-consistency of J plus the log
@@ -39,8 +40,8 @@ import scipy.special
 from .airy import AiryPairModel, airy_ai_maclaurin
 from .bessel import BesselIModel, _series_f
 from .bound import evaluate_chain, log_ratio_integral, midpoint_rho, optimize_rho
-from .errors import ConvergenceError, DomainError, G0BoundError
-from .numerics import doubling_panel_rules, gamma, quad_adaptive
+from .errors import ConvergenceError, DomainError
+from .numerics import doubling_panel_rules, quad_adaptive
 # unused here; perfbench/tracing.py patches verify.integrate_singular by name
 from .numerics import integrate_singular  # noqa: F401
 from .zeros import (FunctionModel, phi_vec, reciprocal_power_zero_sum,
@@ -238,7 +239,8 @@ class _PhiRule:
 
     The body [lo, T] is the 8-point Legendre rule of
     numerics.doubling_panel_rules on panels of ratio 2^(2/3), lo = 2^-133
-    and T >= 64/z_1, past which phi <= N e^-64; a transform's body is
+    and T >= 64/z_min, z_min the least zero (ZeroSequence.least_zero),
+    past which every term of phi is below e^-64; a transform's body is
     w_i phi(t_i) dotted with its kernel at the nodes.  The ratio sets the
     rule's error: each panel of the power law t^(rho - 1 - rho0) near 0
     loses the same share, and so does the transform.  On doubling panels
@@ -246,27 +248,17 @@ class _PhiRule:
     phi ~ e^(-z_1 t) add to it; at 2^(2/3) it is about 2e-15, for 1.5
     times the nodes (about 1,700).
 
-    The head [0, lo] comes from the counting function: with
-    N(t) = A t^rho0 + D(t), |D| <= B (ZeroSequence.counting_bound),
-    phi(t) = t int_0^inf N(s) e^{-st} ds = A Gamma(1 + rho0) t^-rho0 + E(t)
-    with |E| <= B.  A head-only sequence of N zeros has
-    N - t sum z_n <= phi(t) <= N instead.
+    The head [0, lo] comes from the envelope
+    |phi(t) - a t^-q| <= b t^r (ZeroSequence.phi_envelope).
     """
 
     def __init__(self, zs):
-        panels = math.ceil(math.log(_PHI_REACH / (float(zs.head[0]) * _PHI_LO))
+        panels = math.ceil(math.log(_PHI_REACH / (zs.least_zero * _PHI_LO))
                            / math.log(_PHI_RATIO))
         t, w, _, _ = doubling_panel_rules(_PHI_LO, panels, _PHI_RATIO)
         self.t, self.log_t = t, np.log(t)
         self.w_phi = w * phi_vec(zs, t)
-        # |phi(t) - lead t^-power| <= rest t^rest_power on [0, lo]
-        if zs.has_tail:
-            amp, dev = zs.counting_bound()
-            self.lead, self.power = amp * gamma(1.0 + zs.order_rho0), zs.order_rho0
-            self.rest, self.rest_power = dev, 0.0
-        else:
-            self.lead, self.power = float(zs.head_count), 0.0
-            self.rest, self.rest_power = float(np.sum(zs.head)), 1.0
+        self.lead, self.power, self.rest, self.rest_power = zs.phi_envelope()
 
     def head(self, p: float) -> tuple[float, float]:
         """(main, band): int_0^lo t^-p phi(t) dt for p < 1 - rho0."""
@@ -379,7 +371,7 @@ def run_identity_suite(model: FunctionModel, rho_list=None) -> list:
             s = zero_sum(zs, rho)
             records.append(_two_sided(
                 "mellin_transform", mid, {"rho": rho},
-                _mellin_lhs(rule, rho), gamma(rho) * s))
+                _mellin_lhs(rule, rho), math.gamma(rho) * s))
             j = float(log_ratio_integral(model, rho).value)
             records.append(_two_sided(
                 "log_ratio_integral_identity", mid, {"rho": rho},

@@ -26,7 +26,6 @@ from scipy.special import gammaincc
 
 from .errors import (DivergenceError, DomainError, EvaluationOverflowError,
                      PoleZeroError)
-from .numerics import gamma
 
 __all__ = [
     "ZeroSequence",
@@ -96,9 +95,9 @@ class ZeroSequence:
     mutations are value-idempotent memos filled on first use: the tail power
     sums per rho, the suffix power-sum table and the scaled head moments
     behind the reciprocal sums and small-t phi (suffix_power_table,
-    head_moments), and the counting-function constants behind the J tail,
-    the phi transforms' head and the range of sup_weighted_phi
-    (counting_bound).  None is built at construction.
+    head_moments), and the envelope of phi behind the J tail, the phi
+    transforms' head and the range of sup_weighted_phi (phi_envelope).
+    None is built at construction.
     """
 
     def __init__(self, head: Sequence[float], tail_exponent: float,
@@ -126,7 +125,7 @@ class ZeroSequence:
         self._power_memo: dict[float, tuple[float, float]] = {}
         self._suffix_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._head_moments: np.ndarray | None = None
-        self._counting: tuple[float, float] | None = None
+        self._envelope: tuple[float, float, float, float] | None = None
         if self.has_tail and self.model_zero(arr.size + 1) <= 0.0:
             raise DomainError("tail model must stay positive past the head")
 
@@ -147,6 +146,15 @@ class ZeroSequence:
         pure = self.tail_coefficient * (
             np.asarray(n, dtype=float) + self.tail_offset) ** self.tail_exponent
         return pure + self.tail_shift
+
+    @property
+    def least_zero(self) -> float:
+        """The least zero: z_1, or the first tail-model zero where the
+        model dips below the head."""
+        z_1 = float(self.head[0])
+        if not self.has_tail:
+            return z_1
+        return min(z_1, float(self.model_zero(self.head_count + 1)))
 
     def __repr__(self):
         tail = ("head-only" if not self.has_tail else
@@ -176,19 +184,26 @@ class ZeroSequence:
         self._power_memo[rho] = result
         return result
 
-    def counting_bound(self) -> tuple[float, float]:
-        """(A, B) with N(t) = A t^rho0 + D(t) and |D(t)| <= B for every
-        t >= 0, where N(t) counts the zeros up to t.
+    def phi_envelope(self) -> tuple[float, float, float, float]:
+        """(lead, power, rest, rest_power) with
+        |phi(t) - lead t^-power| <= rest t^rest_power for every t > 0,
+        phi(t) = sum_n exp(-z_n t).
 
-        For the tail model z_n = c (n + delta)^p + s, A = c^-rho0 and B bounds
-        the deviation on every head interval and under the tail model.  A
-        head-only sequence has no such constants (N(t) stops at N).  Built
-        on the first call.
+        With a tail, N(t) = A t^rho0 + D(t) with |D(t)| <= B for every
+        t >= 0, N(t) counting the zeros up to t, and
+        phi(t) = t int_0^inf N(s) e^{-st} ds gives
+        (A Gamma(1 + rho0), rho0, B, 0).  For the tail model
+        z_n = c (n + delta)^p + s, A = c^-rho0 and B bounds the deviation
+        on every head interval and under the tail model.  A head-only
+        sequence of N zeros has N - t sum z_n <= phi(t) <= N, so
+        (N, 0, sum z_n, 1).  Built on the first call.
         """
+        if self._envelope is not None:
+            return self._envelope
         if not self.has_tail:
-            raise DomainError("head-only sequence has no counting bound")
-        if self._counting is not None:
-            return self._counting
+            self._envelope = (float(self.head_count), 0.0,
+                              float(np.sum(self.head)), 1.0)
+            return self._envelope
         head = self.head
         rho0 = self.order_rho0
         amp = self.tail_coefficient ** -rho0
@@ -204,8 +219,8 @@ class ZeroSequence:
         shift_dev = amp * abs(s) * rho0 * (z_next - max(s, 0.0)) ** (rho0 - 1.0)
         dev = max(dev, max(abs(delta), abs(delta + 1.0)) + shift_dev
                   + int(np.count_nonzero(head > z_next)))
-        self._counting = (amp, dev)
-        return amp, dev
+        self._envelope = (amp * math.gamma(1.0 + rho0), rho0, dev, 0.0)
+        return self._envelope
 
     def _tail_base(self) -> float:
         """c (N + 1 + offset)^p: the first model zero past the head, shift
@@ -260,7 +275,7 @@ class ZeroSequence:
             x0 = sigma * A ** p
             inv_p = 1.0 / p
             with np.errstate(under="ignore"):
-                integral = (inv_p * sigma ** (-inv_p) * gamma(inv_p)
+                integral = (inv_p * sigma ** (-inv_p) * math.gamma(inv_p)
                             * gammaincc(inv_p, x0))
                 g = np.exp(-x0)
                 qp = sigma * p * A ** (p - 1.0)          # q'(a)
@@ -682,63 +697,58 @@ def _next_spacing(h: float) -> float:
 def _sup_range(zs: ZeroSequence, rho: float) -> tuple[float, float]:
     """(t_lo, t_hi) with the maximiser of t^rho phi(t) inside.
 
-    Past t_hi = rho/z_min, z_min the least zero (head or tail model),
+    Past t_hi = rho/z_min, z_min the least zero (ZeroSequence.least_zero),
     t^rho phi decreases, since -t phi'(t)/phi(t) >= z_min t.  Below t_lo an
     upper bound U(t) on t^rho phi stays under a lower bound L0 on its sup.
-    U comes from the counting function (ZeroSequence.counting_bound):
-    phi(t) <= a t^-rho0 + B with a = A Gamma(1 + rho0), so
-    U(t) = a t^(rho - rho0) + B t^rho; a head-only sequence of N zeros has
-    U(t) = N t^rho.  L0 is the larger of the least zero's own peak
-    (rho/(e z_min))^rho and the peak of t^rho (a t^-rho0 - B), since
-    a t^-rho0 - B is a lower bound on phi.  U increases, and t_lo is the
-    root of U(t) = L0.  Where that root underflows (rho at rho0, or at 0
-    without a tail) t_lo is 1e-6/z_N instead.
+    Both come from the envelope |phi(t) - a t^-q| <= b t^r
+    (ZeroSequence.phi_envelope): U(t) = a t^(rho - q) + b t^(rho + r), and
+    L0 is the larger of the least zero's own peak (rho/(e z_min))^rho and
+    the peak of t^rho (a t^-q - b t^r), a lower bound on t^rho phi.  U
+    increases, and t_lo is the root of U(t) = L0.  Where L0 or that root
+    leaves the floating range (rho at rho0, or at 0 without a tail) t_lo
+    is 1e-6/z_N instead.
     """
-    z_min = float(zs.head[0])
-    if zs.has_tail:
-        z_min = min(z_min, float(zs.model_zero(zs.head_count + 1)))
-    log_hi = math.log(rho) - math.log(z_min)
-    log_floor = rho * (log_hi - 1.0)
-    if zs.has_tail:
-        rho0 = zs.order_rho0
-        amp, dev = zs.counting_bound()
-        log_a, log_b = math.log(amp * gamma(1.0 + rho0)), math.log(dev)
-        gap = rho - rho0
-        log_peak = (log_a + math.log(gap / rho) - log_b) / rho0
-        log_floor = max(log_floor,
-                        log_b + math.log(rho0 / gap) + rho * log_peak)
-        log_lo = _counting_root(log_a, log_b, gap, rho, log_floor)
-    else:
-        log_lo = log_hi - 1.0 - math.log(zs.head_count) / rho
-    t_lo = math.exp(log_lo)
+    lead, power, rest, rest_power = zs.phi_envelope()
+    log_hi = math.log(rho) - math.log(zs.least_zero)
+    log_a, log_b = math.log(lead), math.log(rest)
+    gap, top = rho - power, rho + rest_power
+    log_peak = (log_a + math.log(gap / top) - log_b) / (power + rest_power)
+    log_floor = max(rho * (log_hi - 1.0),
+                    log_b + math.log((power + rest_power) / gap) + top * log_peak)
+    t_lo = 0.0
+    if math.isfinite(log_floor):
+        t_lo = math.exp(_counting_root(log_a, log_b, gap, top, log_floor))
     if not t_lo >= _TINY:
         t_lo = 1e-6 / float(zs.head[-1])
     return t_lo, max(math.exp(log_hi), t_lo)
 
 
-def _counting_root(log_a: float, log_b: float, gap: float, rho: float,
+def _counting_root(log_a: float, log_b: float, low: float, high: float,
                    log_floor: float) -> float:
     """A lower bound, within rounding, on the root u of
-    log(a e^(gap u) + B e^(rho u)) = log_floor.
+    log(a e^(low u) + b e^(high u)) = log_floor, 0 < low < high.
 
-    The left side is convex and increasing, with slope between gap and
-    rho, so Newton steps from the right of the root stay right of it; the
-    last residual over the least slope then moves u to the left of it.
+    The left side is convex and increasing, with slope between low and
+    high, so Newton steps from the right of the root stay right of it; the
+    last residual over the least slope then moves u to the left of it.  A
+    start that is not finite is returned as it is.
     """
     def excess(u):
-        """(log U - log_floor, the share of a e^(gap u) in U) at u."""
-        lead = log_a + gap * u
-        total = float(np.logaddexp(lead, log_b + rho * u))
+        """(log U - log_floor, the share of a e^(low u) in U) at u."""
+        lead = log_a + low * u
+        total = float(np.logaddexp(lead, log_b + high * u))
         return total - log_floor, math.exp(lead - total)
 
-    u = min((log_floor - log_a) / gap, (log_floor - log_b) / rho)
+    u = min((log_floor - log_a) / low, (log_floor - log_b) / high)
+    if not math.isfinite(u):
+        return u
     for _ in range(_SUP_NEWTON_STEPS):
         over, share = excess(u)
-        step = over / (rho - (rho - gap) * share)
+        step = over / max(high - (high - low) * share, low)
         u -= step
         if not step > 1e-12 * max(1.0, abs(u)):
             break
-    return u - max(excess(u)[0], 0.0) / gap
+    return u - max(excess(u)[0], 0.0) / low
 
 
 # --------------------------------------------------------------------------
@@ -854,11 +864,14 @@ def reciprocal_power_zero_sum(zs: ZeroSequence, w, power: int):
     """sum_n (w + z_n)^-power (head + tail); the building block for the
     derivatives of the log-derivative.
 
-    Powers up to 4 take the routes of reciprocal_zero_sum, with the binomial
-    weights binom(power+k-1, k) on both series; higher powers sum the head
-    densely.  Past the table, tail_reciprocal_sum raises DomainError for
+    Powers 1 to 4 take the routes of reciprocal_zero_sum, with the binomial
+    weights binom(power+k-1, k) on both series; any other power raises
+    DomainError.  Past the table, tail_reciprocal_sum raises DomainError for
     power >= 2 once |w| exceeds half the first model zero.
     """
+    if power not in range(1, _TABLE_MAX_POWER + 1):
+        raise DomainError(
+            f"power must be in 1..{_TABLE_MAX_POWER}, got {power!r}")
     scalar = np.ndim(w) == 0
     wa = np.asarray(w).reshape(-1)
     aw = np.abs(wa)
@@ -868,8 +881,6 @@ def reciprocal_power_zero_sum(zs: ZeroSequence, w, power: int):
     row = np.searchsorted(r, _EXPANSION_RATIO * aw, side="right")
     near = row < r.size
     far = ~near & (aw > _EXPANSION_RATIO * zs.head[-1])
-    if power > _TABLE_MAX_POWER:
-        near[:] = far[:] = False
     dense = np.where(near, m[np.minimum(row, r.size - 1)],
                      np.where(far, 0, zs.head_count))
     if power == 1:  # a division is about twice as fast as ** -1.0

@@ -273,15 +273,15 @@ def test_zero_scan_reference_values():
 def test_zero_scan_matches_mpmath_roots(a):
     # 30-digit secant roots of tau -> K_{i tau}(a) started at each scanned
     # zero; near tau ~ 19, |K_{i tau}(2)| ~ 1e-10 and rounding in the scan's
-    # sums limits the deepest zeros to a few 1e-9
+    # sums limits the deepest tau_n to a few 1e-10 (8.4e-10 at a = 1.37)
     mpmath = pytest.importorskip("mpmath")
-    got = k_order_zeros(a, 8)
+    got = np.sqrt(k_order_zeros(a, 8))
     with mpmath.workdps(30):
         want = [float(mpmath.findroot(
-            lambda t: mpmath.re(mpmath.besselk(1j * t, a)), math.sqrt(z))) ** 2
-            for z in got]
+            lambda t: mpmath.re(mpmath.besselk(1j * t, a)), tau))
+            for tau in got]
     assert np.all(np.diff(want) > 0.0)
-    assert np.allclose(got, want, rtol=1e-8, atol=0.0)
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

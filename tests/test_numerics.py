@@ -1,4 +1,4 @@
-"""Quadrature, root finding, scalar minimization, gamma."""
+"""Quadrature, root finding, scalar minimization."""
 
 import math
 
@@ -8,23 +8,8 @@ import pytest
 from g0bound.errors import (BracketError, ConvergenceError, DomainError,
                             EvaluationOverflowError)
 from g0bound.numerics import (QuadratureResult, doubling_panel_rules,
-                              find_root_bracketed, gamma, integrate_singular,
+                              find_root_bracketed, integrate_singular,
                               minimize_scalar, quad_adaptive)
-
-
-def test_gamma_values():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma(5.0) == 24.0
-    assert gamma(1.0) == 1.0
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma(0.0)
-    with pytest.raises(DomainError):
-        gamma(-1.5)
-    with pytest.raises(DomainError):
-        gamma(51.0)
 
 
 def test_quadrature_result_validation():
@@ -69,7 +54,7 @@ def test_integrate_singular_gamma_tail():
     # int_0^inf x^-rho e^-x dx = Gamma(1-rho)
     for rho in (0.3, 0.75, 0.9):
         res = integrate_singular(lambda x: np.exp(-x), rho)
-        assert res.value == pytest.approx(gamma(1.0 - rho), rel=1e-9), rho
+        assert res.value == pytest.approx(math.gamma(1.0 - rho), rel=1e-9), rho
 
 
 def test_integrate_singular_algebraic_tail():
@@ -84,7 +69,7 @@ def test_integrate_singular_scaled_exponential():
     for L in (1e-3, 1.0, 1e3, 1e6):
         for rho in (0.05, 0.5, 0.95):
             res = integrate_singular(lambda x: np.exp(-x / L), rho)
-            want = L ** (1.0 - rho) * gamma(1.0 - rho)
+            want = L ** (1.0 - rho) * math.gamma(1.0 - rho)
             assert res.value == pytest.approx(want, rel=1e-9), (L, rho)
 
 

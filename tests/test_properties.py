@@ -60,6 +60,35 @@ def test_sup_weighted_phi_tailed_between_grid_and_paper_bound(head, tail, u):
     assert grid_best * (1.0 - 1e-14) <= sup <= upper * (1.0 + 1e-12)
 
 
+@hypothesis.given(head=_ZEROS,
+                  tail=st.one_of(st.none(), st.tuples(
+                      st.floats(min_value=1.1, max_value=4.0),
+                      st.floats(min_value=1e-3, max_value=4.0),
+                      st.floats(min_value=-0.5, max_value=2.0),
+                      st.floats(min_value=-0.5, max_value=0.5))),
+                  log_t=st.lists(st.floats(min_value=-12.0, max_value=2.0),
+                                 min_size=1, max_size=20))
+def test_phi_envelope_holds(head, tail, log_t):
+    # |phi(t) - a t^-q| <= b t^r within rounding of phi; tail (p, s, delta,
+    # sigma) puts the first model zero at s z_N, below z_1 for a small s,
+    # with an offset delta and a shift of sigma times that zero
+    if tail is None:
+        zs = ZeroSequence(head, 2.0, None)
+    else:
+        p, s, delta, sigma = tail
+        first = s * head[-1]
+        zs = ZeroSequence(head, p,
+                          (1.0 - sigma) * first / (len(head) + 1.0 + delta) ** p,
+                          delta, sigma * first)
+    lead, power, rest, rest_power = zs.phi_envelope()
+    t = 10.0 ** np.asarray(log_t)
+    with np.errstate(under="ignore"):
+        phi = phi_vec(zs, t)
+    main = lead * t ** -power
+    rounding = 4.0 * np.finfo(float).eps * np.maximum(phi, main)
+    assert np.all(np.abs(phi - main) <= rest * t ** rest_power + rounding)
+
+
 _MODULI = st.lists(st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)
                              .map(lambda e: 10.0 ** e)), min_size=1, max_size=20)
 

@@ -15,7 +15,7 @@ from g0bound.verify import (TOLERANCES, GridSpec, VerificationRecord,
                             run_all, run_identity_suite, run_inequality_suite,
                             run_monotonicity_suite)
 from g0bound.zeros import (ZeroSequence, model_from_zeros,
-                           reciprocal_power_zero_sum)
+                           reciprocal_power_zero_sum, zero_sum)
 
 SMALL_GRID = GridSpec(radii=(1.0, 4.0), angles=(0.0, 0.4, -0.9),
                       rhos=("midpoint", 0.8))
@@ -153,6 +153,29 @@ def test_head_only_mellin_matches_zero_sum():
         want = math.gamma(rho) * math.fsum(z ** -rho for z in head)
         got = _record(recs, "mellin_transform", "rho", rho).lhs
         assert abs(got - want) <= 1e-11 * want, rho
+
+
+def test_dipping_tail_mellin_matches_zero_sum():
+    # head [50, 60] under the tail n^2, whose first zero 9 lies below the
+    # head: the rule reaches 64/9, not 64/50, so phi is not cut off early
+    zs = ZeroSequence([50.0, 60.0], 2.0, 1.0)
+    recs = run_identity_suite(model_from_zeros(zs, model_id="dip"))
+    for rho in (0.6, 0.75, 0.9):
+        want = math.gamma(rho) * zero_sum(zs, rho)
+        got = _record(recs, "mellin_transform", "rho", rho).lhs
+        assert abs(got - want) <= 1e-12 * want, rho
+
+
+@pytest.mark.parametrize("head, tail", [([50.0, 60.0], 1.0),
+                                        ([50.0, 60.0], None),
+                                        ([1.0, 4.0], 1.0)])
+def test_phi_rule_reaches_64_over_the_least_zero(head, tail):
+    # 8 Legendre nodes per panel: the rule's top edge is lo r^panels
+    zs = ZeroSequence(head, 2.0, tail)
+    rule = verify._PhiRule(zs)
+    top = verify._PHI_LO * verify._PHI_RATIO ** (rule.t.size // 8)
+    assert rule.t[-1] <= top
+    assert top >= 64.0 / zs.least_zero
 
 
 def test_airy_laplace_meets_the_zero_sum(airy):

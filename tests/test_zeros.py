@@ -14,7 +14,7 @@ from g0bound.bessel import BesselIModel
 from g0bound.errors import DivergenceError, DomainError
 from g0bound.kbessel import k_order_zeros
 from g0bound.models import default_fleet, toy_square_model
-from g0bound.numerics import doubling_panel_rules, gamma
+from g0bound.numerics import doubling_panel_rules
 from g0bound.zeros import (ZeroSequence, model_from_zeros, phi, phi_vec,
                            product_eval, reciprocal_power_zero_sum,
                            reciprocal_zero_sum, sup_weighted_phi, zero_sum)
@@ -280,7 +280,7 @@ def _tail_exp_sum_reference(zs, t):
     x0 = sigma * A ** p
     inv_p = 1.0 / p
     with np.errstate(under="ignore"):
-        integral = inv_p * sigma ** (-inv_p) * gamma(inv_p) * gammaincc(inv_p, x0)
+        integral = inv_p * sigma ** (-inv_p) * math.gamma(inv_p) * gammaincc(inv_p, x0)
         g = np.exp(-np.minimum(x0, 745.0))
         g = np.where(x0 > 745.0, 0.0, g)
         qp = sigma * p * A ** (p - 1.0)
@@ -467,6 +467,34 @@ def test_reciprocal_power_sum_matches_dense_reference():
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, power
     with pytest.raises(DomainError):
         reciprocal_power_zero_sum(zs, 1e9, 2)  # past half the first model zero
+
+
+@pytest.mark.parametrize("power", [0, 5])
+def test_reciprocal_power_sum_rejects_powers_off_the_table(power):
+    # the suffix table carries powers 1..4 only
+    with pytest.raises(DomainError):
+        reciprocal_power_zero_sum(toy_sequence(), 1.0, power)
+
+
+def test_phi_envelope_holds_on_the_fleet():
+    # |phi(t) - a t^-q| <= b t^r for every fleet sequence on 1e-12..1e2
+    t = np.geomspace(1e-12, 1e2, 141)
+    for model in default_fleet():
+        zs = model.zeros()
+        lead, power, rest, rest_power = zs.phi_envelope()
+        with np.errstate(under="ignore"):
+            phi = phi_vec(zs, t)
+        main = lead * t ** -power
+        rounding = 4.0 * np.finfo(float).eps * np.maximum(phi, main)
+        assert np.all(np.abs(phi - main) <= rest * t ** rest_power + rounding), \
+            model.model_id
+
+
+def test_least_zero_takes_a_dipping_tail():
+    # head [50, 60] with tail n^2: the tail model's first zero 9 is the least
+    assert ZeroSequence([50.0, 60.0], 2.0, 1.0).least_zero == 9.0
+    assert ZeroSequence([50.0, 60.0], 2.0, None).least_zero == 50.0
+    assert ZeroSequence([2.0, 60.0], 2.0, 1.0).least_zero == 2.0
 
 
 def test_reciprocal_sum_work_budget(monkeypatch):
